@@ -7,10 +7,6 @@ experiment runs — and writes a stable-schema ``BENCH_perf.json``:
 * ``scheduler_asha_ops`` — ASHA ``next_job``/``report``/``is_done`` cycles
   per second, driven directly with synthetic losses (no simulator).  This
   is where the promotion-scan caching shows up.
-* ``scheduler_asha_ops_batched`` — the same workload through the batched
-  surface (``next_job_batch``/``report_batch``, batch 32): what a backend
-  filling many free workers per ask actually pays.  The gap between this
-  and ``scheduler_asha_ops`` is the per-call overhead batching amortises.
 * ``simulator_events`` / ``simulator_churn_events`` — simulated job
   completions per second on the PTB LSTM surrogate at 100 workers, without
   and with worker churn.  This is where the event queue, churn victim
@@ -110,34 +106,6 @@ def bench_scheduler_ops(num_jobs: int) -> tuple[float, int]:
         # Synthetic loss keyed by trial id and rung: deterministic, free.
         scheduler.report(job, 1.0 + seeded_uniform(job.trial_id, float(job.rung)))
         dispatched += 1
-    return time.perf_counter() - start, dispatched
-
-
-def bench_scheduler_ops_batched(num_jobs: int, batch: int = 32) -> tuple[float, int]:
-    """(seconds, jobs dispatched) driving ASHA through the batched surface.
-
-    Same seeded workload as :func:`bench_scheduler_ops` — the batched API
-    contract guarantees an identical job stream — but asked and reported
-    ``batch`` jobs at a time, the way a backend filling free workers does.
-    """
-    objective = ptb_lstm.make_objective(seed_salt=0)
-    rng = np.random.default_rng(0)
-    r_max = ptb_lstm.R
-    scheduler = ASHA(
-        objective.space, rng, min_resource=r_max / 64.0, max_resource=r_max, eta=4
-    )
-    start = time.perf_counter()
-    dispatched = 0
-    while dispatched < num_jobs:
-        if scheduler.is_done():
-            break
-        jobs = scheduler.next_job_batch(min(batch, num_jobs - dispatched))
-        if not jobs:
-            break
-        scheduler.report_batch(
-            [(job, 1.0 + seeded_uniform(job.trial_id, float(job.rung))) for job in jobs]
-        )
-        dispatched += len(jobs)
     return time.perf_counter() - start, dispatched
 
 
@@ -292,14 +260,6 @@ class _CadenceJournal(Journal):
             self._file.flush()
             os.fsync(self._file.fileno())
 
-    def append_batch(self, records):
-        super().append_batch(records)
-        self._cadence = getattr(self, "_cadence", 0) + len(records)
-        if self._cadence >= _BASELINE_FSYNC_EVERY:
-            self._cadence = 0
-            self._file.flush()
-            os.fsync(self._file.fileno())
-
 
 def _mux_scheduler(seed: int):
     return ASHA(
@@ -392,7 +352,7 @@ _OBS_OVERHEAD_CEILING = 1.03
 
 
 def _study_scheduler_workload(num_jobs: int) -> int:
-    """Batched ask/tell cycles through the instrumented ``Study`` surface."""
+    """Ask/tell cycles (32 in flight) through the instrumented ``Study`` surface."""
     study = Study(
         ASHA(
             toy_space(),
@@ -468,6 +428,18 @@ def bench_observability_overhead(quick: bool) -> dict[str, float]:
 # ------------------------------------------------------------------- main
 
 
+def _src_lines() -> int:
+    """Lines of Python under ``src/`` — the same count the system benchmark reports."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "src")
+    total = 0
+    for directory, _, files in os.walk(src):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), "rb") as fh:
+                    total += sum(1 for _ in fh)
+    return total
+
+
 def run_suite(quick: bool, only: list[str] | None = None) -> dict:
     """Run every microbench (or the ``--only`` subset) and return the
     BENCH_perf.json document."""
@@ -499,17 +471,6 @@ def run_suite(quick: bool, only: list[str] | None = None) -> dict:
             higher_is_better=True,
             calibration_ops_per_s=calibration,
             meta={"jobs": dispatched},
-        )
-
-    if want("scheduler_asha_ops_batched"):
-        print("[perf] scheduler_asha_ops_batched...", flush=True)
-        seconds, dispatched = bench_scheduler_ops_batched(scheduler_jobs)
-        benchmarks["scheduler_asha_ops_batched"] = benchmark_entry(
-            dispatched / seconds,
-            "jobs/s",
-            higher_is_better=True,
-            calibration_ops_per_s=calibration,
-            meta={"jobs": dispatched, "batch": 32},
         )
 
     if want("simulator_events"):
@@ -617,6 +578,8 @@ def run_suite(quick: bool, only: list[str] | None = None) -> dict:
         "mode": mode,
         "python": platform.python_version(),
         "calibration_ops_per_s": calibration,
+        # The size trajectory beside the speed numbers (ROADMAP aim 2).
+        "meta": {"src_lines": _src_lines()},
         "benchmarks": benchmarks,
     }
 

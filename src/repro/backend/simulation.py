@@ -50,11 +50,10 @@ from ..core.types import Job
 from ..objectives.base import Objective
 from ..study import Study
 from ..telemetry import EventKind, TelemetryHub
-from ..telemetry.tracing import TraceBuilder
 from .checkpoint import CheckpointStore
 from .events import EventQueue
-from .faults import FaultManager, RetryPolicy
-from .trial_runner import BackendResult, FailureRecord, record_report
+from .faults import FaultManager, RetryPolicy, route_failure
+from .trial_runner import BackendResult, bracket_counter, record_report, wire_telemetry
 
 __all__ = ["SimRun", "SimulatedCluster", "drive_runs"]
 
@@ -164,20 +163,9 @@ class SimRun:
         )
         self.store = CheckpointStore()
         self.result = BackendResult()
-        # The loop drives a Study (ask/tell + fault hooks); a bare scheduler
-        # gets an unjournalled wrapper so there is exactly one code path.
-        self.study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
-        hub = telemetry if telemetry is not None else self.study.telemetry
-        self.tracer = None
-        if trace:
-            self.tracer = TraceBuilder()
-            if not hub:
-                hub = TelemetryHub()
-            hub.add_sink(self.tracer)
-        if telemetry is not None or self.tracer is not None:
-            self.study.attach_telemetry(hub)
-        self.hub = hub
-        self.store.telemetry = hub
+        self.study, self.hub, self.tracer = wire_telemetry(scheduler, telemetry, trace)
+        self.bracket_snapshot = bracket_counter(self.study)
+        self.store.telemetry = self.hub
         # A snapshot-restored study arrives with trials already trained;
         # give their checkpoints lazy placeholders (no-op for fresh runs).
         self.store.seed_from_trials(self.study.trials)
@@ -301,27 +289,21 @@ class SimRun:
             )
 
     def fill_round(self) -> bool:
-        """Fill free workers: queued retries first, then (batched) asks.
+        """Fill free workers: queued retries first, then one ask per worker.
 
-        Dispatch order is identical to the historical one-ask-per-worker
-        loop — retries drain in FIFO order, then the study fills the
-        remaining workers.  With no event hub recording, the study sees
-        ``ask_batch`` calls instead of one ask per worker, which is where
-        the batched promotion scan and journal block append pay off; a
-        short batch means the same thing a ``None`` ask did (rung barrier
-        or finished).  When a hub *is* attached, dispatch events
-        (``job_started``) must interleave with the scheduler's own
-        ``trial_started`` emissions in per-job order — ``seq`` is assigned
-        at emit time — so the recorded path stays one ask per worker and
-        every golden trace keeps its bytes.
+        Algorithm 2's master loop: retries drain in FIFO order, then the
+        study is asked once for each remaining free worker, and each job is
+        launched before the next ask — so a hub sees the scheduler's
+        ``trial_started`` and the dispatch's ``job_started`` interleaved in
+        per-job order (``seq`` is assigned at emit time).  A ``None`` ask
+        means a rung barrier or a finished search.
 
         At most ``fill_cap`` jobs are dispatched per round (``None`` —
         every free worker).  Returns ``True`` when the cap cut the round
         short with free workers remaining — the caller should offer other
         runs a turn and then come back (the multiplexer's round-robin
         fairness).  Chunked rounds are byte-identical to one unbounded
-        fill: the batched-API contract pins ``ask_batch(j) + ask_batch(k)``
-        to the same jobs, journal bytes, and RNG draws as ``ask_batch(j+k)``.
+        fill: the asks are the same calls in the same order.
         """
         free_ids = self.free_ids
         study = self.study
@@ -330,7 +312,7 @@ class SimRun:
         result = self.result
         faults = self.faults
         obs = self.obs
-        dispatched_before = result.jobs_dispatched if obs is not None else 0
+        dispatched_before = result.jobs_dispatched
         while free_ids and self.pending_retries and budget > 0:
             job, attempt = self.pending_retries.popleft()
             worker = heapq.heappop(free_ids)
@@ -338,45 +320,23 @@ class SimRun:
             result.jobs_dispatched += 1
             self.launch(job, worker, attempt)
         starved = False
-        hub = self.hub
-        if hub:
-            while free_ids and budget > 0:
-                if study.is_done():
-                    break
-                job = study.ask()
-                if job is None:
-                    starved = True
-                    break
-                attempt = 1 if faults is None else faults.attempt_number(job)
-                worker = heapq.heappop(free_ids)
-                budget -= 1
-                result.jobs_dispatched += 1
-                self.launch(job, worker, attempt)
-        else:
-            while free_ids and budget > 0:
-                if study.is_done():
-                    break
-                asked = min(budget, len(free_ids))
-                jobs = study.ask_batch(asked)
-                if not jobs:
-                    starved = True
-                    break
-                for job in jobs:
-                    attempt = 1 if faults is None else faults.attempt_number(job)
-                    worker = heapq.heappop(free_ids)
-                    budget -= 1
-                    result.jobs_dispatched += 1
-                    self.launch(job, worker, attempt)
-                if len(jobs) < asked:
-                    # The batch came back short: the next single ask would
-                    # have returned None.
-                    starved = not study.is_done()
-                    break
-        if hub and starved and free_ids:
-            hub.emit(EventKind.WORKER_IDLE, free_workers=len(free_ids))
+        while free_ids and budget > 0:
+            if study.is_done():
+                break
+            job = study.ask()
+            if job is None:
+                starved = True
+                break
+            attempt = 1 if faults is None else faults.attempt_number(job)
+            worker = heapq.heappop(free_ids)
+            budget -= 1
+            result.jobs_dispatched += 1
+            self.launch(job, worker, attempt)
+        if starved and self.hub and free_ids:
+            self.hub.emit(EventKind.WORKER_IDLE, free_workers=len(free_ids))
         capped = budget == 0 and bool(free_ids)
         if obs is not None:
-            dispatched = self.result.jobs_dispatched - dispatched_before
+            dispatched = result.jobs_dispatched - dispatched_before
             if dispatched:
                 obs.dispatches.inc(dispatched)
                 self.last_dispatch_tick = obs.tick_box[0]
@@ -426,99 +386,23 @@ class SimRun:
         correction: float = 0.0,
         error: str | None = None,
     ) -> None:
-        """Route one failed attempt: forfeit, retry, or abandon."""
-        result = self.result
-        study = self.study
-        hub = self.hub
-        faults = self.faults
-        result.failures.append((self.clock, job.trial_id))
-        result.time_lost_to_failures += lost
-        kind = EventKind.JOB_TIMEOUT if reason == "timeout" else EventKind.JOB_FAILED
-        extra: dict[str, object] = {}
-        if error is not None:
-            extra["error"] = error
-        if correction:
-            extra["busy_correction"] = correction
-        if faults is None:
-            study.on_job_failed(job)
-            result.failure_log.append(
-                FailureRecord(
-                    time=self.clock,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    reason=reason,
-                    action="forfeited",
-                    error=error,
-                    lost=lost,
-                )
-            )
-            if hub:
-                hub.emit(
-                    kind,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    worker_id=worker,
-                    rung=job.rung,
-                    bracket=job.bracket,
-                    reason=reason,
-                    **extra,
-                )
-            return
-        decision = faults.record_failure(job, reason=reason, lost=lost)
-        result.failure_log.append(
-            FailureRecord(
-                time=self.clock,
-                trial_id=job.trial_id,
-                job_id=job.job_id,
-                reason=reason,
-                action="retried" if decision.retry else "abandoned",
-                attempt=decision.failures,
-                error=error,
-                lost=lost,
-            )
+        """Route one failed attempt; a granted retry becomes a queued event."""
+        extra = {"busy_correction": correction} if correction else {}
+        decision = route_failure(
+            self.study,
+            self.result,
+            self.hub,
+            self.faults,
+            job,
+            worker,
+            reason=reason,
+            lost=lost,
+            time=self.clock,
+            error=error,
+            **extra,
         )
-        if hub:
-            hub.emit(
-                kind,
-                trial_id=job.trial_id,
-                job_id=job.job_id,
-                worker_id=worker,
-                rung=job.rung,
-                bracket=job.bracket,
-                reason=reason,
-                attempt=decision.failures,
-                lost=lost,
-                **extra,
-            )
-        if decision.retry:
-            result.jobs_retried += 1
-            study.on_job_requeued(job)
-            retry_at = self.clock + decision.delay
-            if hub:
-                hub.emit(
-                    EventKind.JOB_RETRIED,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    rung=job.rung,
-                    bracket=job.bracket,
-                    attempt=decision.failures + 1,
-                    delay=decision.delay,
-                    retry_at=retry_at,
-                )
-            self._push(retry_at, "retry", (job, decision.failures + 1))
-        else:
-            result.trials_abandoned += 1
-            study.on_trial_abandoned(job)
-            if hub:
-                hub.emit(
-                    EventKind.TRIAL_ABANDONED,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    rung=job.rung,
-                    bracket=job.bracket,
-                    failures=decision.failures,
-                    reason=reason,
-                )
+        if decision is not None and decision.retry:
+            self._push(self.clock + decision.delay, "retry", (job, decision.failures + 1))
 
     # -------------------------------------------------------------- events
 
@@ -599,7 +483,13 @@ class SimRun:
                     if self.faults is not None:
                         self.faults.record_success(job)
                     record_report(
-                        self.result, study, job, loss, self.clock, self.done_resource
+                        self.result,
+                        study,
+                        job,
+                        loss,
+                        self.clock,
+                        self.done_resource,
+                        self.bracket_snapshot,
                     )
                     if hub:
                         hub.emit(
@@ -704,48 +594,63 @@ def drive_runs(
 
     ``on_tick`` runs after each delivered event (and its fills) — the
     multiplexer's group-commit hook.
+
+    The cyclic-garbage collector is paused for the duration of the loop: it
+    allocates heavily (jobs, events, measurements) but creates no cycles
+    that need collecting mid-run, and the collector's young-generation
+    passes cost ~20% of wall time at 100-worker scale.  Scoped and restored
+    in ``finally`` — callers that already disabled gc (or nested runs) are
+    left untouched, and everything deferred is swept on the next collection
+    after re-enable.
     """
-    ring: deque[SimRun] = deque()
-    for run in runs:
-        run.begin()
-        ring.append(run)
-    _drain_fills(ring)
-    for run in runs:
-        run.schedule_churn()
-    active = len(runs)
-    while queue and active:
-        head = queue.peek()
-        assert head is not None
-        run = head.payload[0]
-        if run.done:
-            queue.discard_next()
-            continue
-        if head.kind in _JOB_EVENT_KINDS:
-            job, gen = head.payload[1]
-            if run.generation.get(job.job_id) != gen or job.job_id not in run.in_flight:
-                # The dispatch this event belonged to was churned or timed
-                # out: the event is dead.  Discard it without advancing the
-                # clock.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        ring: deque[SimRun] = deque()
+        for run in runs:
+            run.begin()
+            ring.append(run)
+        _drain_fills(ring)
+        for run in runs:
+            run.schedule_churn()
+        active = len(runs)
+        while queue and active:
+            head = queue.peek()
+            assert head is not None
+            run = head.payload[0]
+            if run.done:
                 queue.discard_next()
                 continue
-        if head.time > run.time_limit:
-            run.budget_exhausted = True
-            run.done = True
-            active -= 1
-            if not active:
-                break
-            queue.discard_next()
-            continue
-        event = queue.pop()
-        if run.dispatch(event):
-            ring.append(run)
-            _drain_fills(ring)
-        elif run.done:
-            active -= 1
-            if not active:
-                break
-        if on_tick is not None:
-            on_tick()
+            if head.kind in _JOB_EVENT_KINDS:
+                job, gen = head.payload[1]
+                if run.generation.get(job.job_id) != gen or job.job_id not in run.in_flight:
+                    # The dispatch this event belonged to was churned or timed
+                    # out: the event is dead.  Discard it without advancing the
+                    # clock.
+                    queue.discard_next()
+                    continue
+            if head.time > run.time_limit:
+                run.budget_exhausted = True
+                run.done = True
+                active -= 1
+                if not active:
+                    break
+                queue.discard_next()
+                continue
+            event = queue.pop()
+            if run.dispatch(event):
+                ring.append(run)
+                _drain_fills(ring)
+            elif run.done:
+                active -= 1
+                if not active:
+                    break
+            if on_tick is not None:
+                on_tick()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 class SimulatedCluster:
@@ -883,21 +788,9 @@ class SimulatedCluster:
             retry_policy=retry_policy,
             trace=trace,
         )
-        # Pause the cyclic-garbage collector for the duration of the event
-        # loop: it allocates heavily (jobs, events, measurements) but creates
-        # no cycles that need collecting mid-run, and the collector's young-
-        # generation passes cost ~20% of wall time at 100-worker scale.
-        # Scoped and restored in ``finally`` — callers that already disabled
-        # gc (or nested runs) are left untouched, and everything deferred is
-        # swept on the next collection after re-enable.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             drive_runs(queue, [state])
         finally:
-            if gc_was_enabled:
-                gc.enable()
             state.close()
         return state.finish()
 

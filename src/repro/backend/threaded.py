@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from collections import deque
 
 from ..core.scheduler import Scheduler
 from ..core.types import Job
@@ -35,12 +34,64 @@ from ..objectives.base import Objective
 from ..study import Study
 from ..telemetry import EventKind, TelemetryHub
 from ..telemetry.runtime import backend_probes
-from ..telemetry.tracing import TraceBuilder
 from .checkpoint import CheckpointStore
-from .faults import FaultManager, RetryPolicy
-from .trial_runner import BackendResult, FailureRecord, record_report
+from .faults import FaultManager, RetryPolicy, route_failure
+from .trial_runner import BackendResult, bracket_counter, record_report, wire_telemetry
 
 __all__ = ["ThreadPoolBackend"]
+
+
+class _TaskState:
+    """One study's share of the pool: its stores, fault budget and backlog."""
+
+    __slots__ = (
+        "study",
+        "objective",
+        "done_resource",
+        "store",
+        "result",
+        "hub",
+        "faults",
+        "bracket_snapshot",
+        "retry_queue",
+        "busy",
+        "capped",
+    )
+
+    def __init__(
+        self,
+        scheduler: Scheduler | Study,
+        objective: Objective,
+        max_resource: float | None,
+        retry_policy: RetryPolicy | None,
+    ) -> None:
+        # Workers drive a Study (ask/tell + fault hooks) under the backend
+        # lock; a bare scheduler gets an unjournalled wrapper.  Wall-clock
+        # journals replay in ``mode="restore"`` (see docs/study.md) — the
+        # thread backend's timings cannot be re-executed byte-identically.
+        self.study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
+        self.objective = objective
+        self.done_resource = (
+            max_resource if max_resource is not None else objective.max_resource
+        )
+        self.store = CheckpointStore()
+        self.result = BackendResult()
+        self.hub = self.study.telemetry
+        self.store.telemetry = self.hub
+        # A restored study arrives with trials already trained; give their
+        # checkpoints lazy placeholders (no-op for fresh runs).
+        self.store.seed_from_trials(self.study.trials)
+        self.faults = FaultManager(retry_policy) if retry_policy is not None else None
+        self.bracket_snapshot = bracket_counter(self.study)
+        # Retries waiting out their backoff: (ready_at, job, attempt).
+        self.retry_queue: list[tuple[float, Job, int]] = []
+        self.busy = 0.0
+        #: Reached ``max_measurements``: the study takes no further jobs.
+        self.capped = False
+
+    def exhausted(self) -> bool:
+        """No dispatchable work and none coming from the scheduler."""
+        return self.capped or (not self.retry_queue and self.study.is_done())
 
 
 class ThreadPoolBackend:
@@ -58,14 +109,6 @@ class ThreadPoolBackend:
         flag is raised, how many extra seconds to wait for straggler threads
         before returning with them still running (they are daemons and hold
         no locks at that point).
-    ask_batch_size:
-        Jobs pulled per scheduler ask.  The default ``1`` asks once per free
-        worker (the historical behaviour, byte-identical event streams).
-        Larger values route through :meth:`~repro.study.Study.ask_batch` and
-        park the surplus in a prefetch queue shared by all workers under the
-        backend lock — amortising the scheduler's per-ask cost at the price
-        of slightly staler decisions (prefetched jobs were chosen before
-        results that complete in the meantime).  Opt-in.
     """
 
     def __init__(
@@ -73,18 +116,14 @@ class ThreadPoolBackend:
         num_workers: int,
         poll_interval: float = 0.005,
         shutdown_grace: float = 5.0,
-        ask_batch_size: int = 1,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if shutdown_grace < 0:
             raise ValueError(f"shutdown_grace must be >= 0, got {shutdown_grace}")
-        if ask_batch_size < 1:
-            raise ValueError(f"ask_batch_size must be >= 1, got {ask_batch_size}")
         self.num_workers = num_workers
         self.poll_interval = poll_interval
         self.shutdown_grace = shutdown_grace
-        self.ask_batch_size = ask_batch_size
 
     def run(
         self,
@@ -100,19 +139,14 @@ class ThreadPoolBackend:
     ) -> BackendResult:
         """Drive ``scheduler`` with real threads until ``time_limit`` seconds.
 
+        A solo run is :meth:`run_many` over one study — see there for the
+        dispatch, retry and watchdog semantics — plus the telemetry wiring:
+
         With a ``telemetry`` hub attached, every dispatch/report/failure is
         emitted with the backend's wall clock (seconds since run start) and
         the worker thread's index, so the collector can reconstruct the
         per-worker utilisation series the paper's Section 3.2 claims are
         stated in.
-
-        With a ``retry_policy``, a job whose ``train`` raises is re-queued
-        (``on_job_requeued``) after the policy's backoff and picked up by the
-        next free worker, until the trial's consecutive-failure count reaches
-        ``max_attempts`` and it is quarantined (``on_trial_abandoned``).
-        When ``retry_policy.timeout`` is set, a watchdog thread fails any job
-        in flight longer than that many wall-clock seconds; the timeout is
-        retry-eligible unless ``retry_timeouts=False``.
 
         With ``trace=True``, a :class:`~repro.telemetry.TraceBuilder` rides
         along as a sink (a hub is created if none was given) and the
@@ -121,162 +155,141 @@ class ThreadPoolBackend:
         """
         if time_limit <= 0:
             raise ValueError(f"time_limit must be positive, got {time_limit}")
-        done_resource = max_resource if max_resource is not None else objective.max_resource
-        store = CheckpointStore()
-        result = BackendResult()
+        study, _, tracer = wire_telemetry(scheduler, telemetry, trace)
+        result = self.run_many(
+            [(study, objective)],
+            time_limit=time_limit,
+            max_resource=max_resource,
+            max_measurements=max_measurements,
+            retry_policy=retry_policy,
+        )[0]
+        if tracer is not None:
+            result.trace = tracer.build()
+        return result
+
+    def run_many(
+        self,
+        tasks: "list[tuple[Scheduler | Study, Objective]]",
+        *,
+        time_limit: float,
+        max_resource: float | None = None,
+        max_measurements: int | None = None,
+        retry_policy: RetryPolicy | None = None,
+    ) -> list[BackendResult]:
+        """Drive many studies through one shared worker pool.
+
+        ``tasks`` is a list of ``(scheduler_or_study, objective)`` pairs,
+        and the pool's workers round-robin their asks across every study
+        that still has work — one process, one set of threads, N concurrent
+        searches.  A study whose scheduler is momentarily starved (rung
+        barrier) simply cedes its turn instead of parking a dedicated
+        worker in a poll loop, which is the whole point: worker threads are
+        shared capacity, not per-study property.
+
+        Asks/reports happen under the backend lock against the owning study
+        (journal-backed studies journal exactly their own interactions — a
+        study's journal is byte-equivalent in *content* to a solo run,
+        though wall-clock timings naturally differ); telemetry hubs attached
+        to individual studies receive only their study's events, stamped
+        with the shared run clock.  ``max_measurements`` caps each study
+        separately: a study that reaches it takes no further jobs.
+
+        With a ``retry_policy``, each study gets its own
+        :class:`FaultManager`: a job whose ``train`` raises is re-queued
+        (``on_job_requeued``) after the policy's wall-clock backoff and
+        picked up by the next free worker, until the trial's
+        consecutive-failure count reaches ``max_attempts`` and it is
+        quarantined (``on_trial_abandoned``).  When ``retry_policy.timeout``
+        is set, a watchdog thread fails any job in flight longer than that
+        many wall-clock seconds; the timeout is retry-eligible unless
+        ``retry_timeouts=False``.
+
+        Each study's :attr:`BackendResult.utilization` is its share of the
+        *pool's* capacity (busy time over ``num_workers x elapsed``), so
+        the values sum to at most 1 across studies.
+
+        Returns per-study results in task order.
+        """
+        if time_limit <= 0:
+            raise ValueError(f"time_limit must be positive, got {time_limit}")
+        if not tasks:
+            raise ValueError("no tasks given")
         # None unless a runtime registry is installed (repro.telemetry.runtime);
         # all probe updates below happen under the backend lock.
         probes = backend_probes("threads")
+        states = [
+            _TaskState(scheduler, objective, max_resource, retry_policy)
+            for scheduler, objective in tasks
+        ]
         lock = threading.Lock()
         stop = threading.Event()
         start = _time.monotonic()
-        busy_time = [0.0]
-        # Workers drive a Study (ask/tell + fault hooks) under the backend
-        # lock; a bare scheduler gets an unjournalled wrapper.  Wall-clock
-        # journals replay in ``mode="restore"`` (see docs/study.md) — the
-        # thread backend's timings cannot be re-executed byte-identically.
-        study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
-        hub = telemetry if telemetry is not None else study.telemetry
-        tracer = None
-        if trace:
-            tracer = TraceBuilder()
-            if not hub:
-                hub = TelemetryHub()
-            hub.add_sink(tracer)
-        if telemetry is not None or tracer is not None:
-            study.attach_telemetry(hub)
-        store.telemetry = hub
-        # A restored study arrives with trials already trained; give their
-        # checkpoints lazy placeholders (no-op for fresh runs).
-        store.seed_from_trials(study.trials)
-        faults = FaultManager(retry_policy) if retry_policy is not None else None
-        # Jobs asked in a batch but not yet taken by a worker; shared under
-        # the backend lock.  Empty forever when ``ask_batch_size == 1``.
-        prefetch: deque[Job] = deque()
-        # Retries waiting out their backoff: (ready_at, job, attempt).
-        retry_queue: list[tuple[float, Job, int]] = []
+        rr = [0]  # shared round-robin cursor, advanced under the lock
         # Dispatch tokens for in-flight jobs — a retried job reuses its job
         # id, so the watchdog and the late-returning thread key on the
-        # (job_id, attempt) pair, not the id alone.
-        in_flight: dict[tuple[int, int], tuple[Job, float, int]] = {}
-        timed_out: set[tuple[int, int]] = set()
+        # (study, job_id, attempt) triple, not the id alone.
+        in_flight: dict[tuple[_TaskState, int, int], tuple[Job, float, int]] = {}
+        timed_out: set[tuple[_TaskState, int, int]] = set()
 
         def clock() -> float:
             return _time.monotonic() - start
 
         def fail_job(
+            ts: _TaskState,
             job: Job,
-            worker_id: int | None,
+            worker_id: int,
             *,
             reason: str,
             lost: float,
             t: float,
             error: str | None = None,
         ) -> None:
-            """Route one failed attempt (caller holds the lock)."""
-            result.failures.append((t, job.trial_id))
-            result.time_lost_to_failures += lost
-            kind = EventKind.JOB_TIMEOUT if reason == "timeout" else EventKind.JOB_FAILED
-            extra: dict[str, object] = {}
-            if error is not None:
-                extra["error"] = error
-            if hub:
-                hub.set_time(t)
-            if faults is None:
-                study.on_job_failed(job)
-                result.failure_log.append(
-                    FailureRecord(
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        reason=reason,
-                        action="forfeited",
-                        error=error,
-                        lost=lost,
-                    )
-                )
-                if hub:
-                    hub.emit(
-                        kind,
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        worker_id=worker_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        reason=reason,
-                        busy=lost,
-                        **extra,
-                    )
-                return
-            decision = faults.record_failure(job, reason=reason, lost=lost)
-            result.failure_log.append(
-                FailureRecord(
-                    time=t,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    reason=reason,
-                    action="retried" if decision.retry else "abandoned",
-                    attempt=decision.failures,
-                    error=error,
-                    lost=lost,
-                )
+            """Route one failed attempt for ``ts`` (caller holds the lock)."""
+            if ts.hub:
+                # The scheduler's own reaction events carry the failure time.
+                ts.hub.set_time(t)
+            decision = route_failure(
+                ts.study,
+                ts.result,
+                ts.hub,
+                ts.faults,
+                job,
+                worker_id,
+                reason=reason,
+                lost=lost,
+                time=t,
+                error=error,
+                busy=lost,
             )
-            if hub:
-                hub.emit(
-                    kind,
-                    time=t,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    worker_id=worker_id,
-                    rung=job.rung,
-                    bracket=job.bracket,
-                    reason=reason,
-                    attempt=decision.failures,
-                    lost=lost,
-                    busy=lost,
-                    **extra,
-                )
-            if decision.retry:
-                result.jobs_retried += 1
-                study.on_job_requeued(job)
-                if hub:
-                    hub.emit(
-                        EventKind.JOB_RETRIED,
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        attempt=decision.failures + 1,
-                        delay=decision.delay,
-                        retry_at=t + decision.delay,
-                    )
-                retry_queue.append((t + decision.delay, job, decision.failures + 1))
+            if decision is not None and decision.retry:
+                ts.retry_queue.append((t + decision.delay, job, decision.failures + 1))
                 if probes is not None:
                     probes.retries.inc()
-            else:
-                result.trials_abandoned += 1
-                study.on_trial_abandoned(job)
-                if hub:
-                    hub.emit(
-                        EventKind.TRIAL_ABANDONED,
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        failures=decision.failures,
-                        reason=reason,
-                    )
 
-        def pop_ready_retry(now: float) -> tuple[Job, int] | None:
-            """Take the first backoff-expired retry (caller holds the lock)."""
-            for i, (ready_at, job, attempt) in enumerate(retry_queue):
+        def take_job(ts: _TaskState, now: float) -> tuple[Job, int] | None:
+            """One dispatchable job from ``ts``, or None (caller holds the lock)."""
+            if (
+                max_measurements is not None
+                and len(ts.result.measurements) >= max_measurements
+            ):
+                ts.capped = True
+            if ts.capped:
+                return None
+            for i, (ready_at, job, attempt) in enumerate(ts.retry_queue):
                 if ready_at <= now:
-                    retry_queue.pop(i)
+                    ts.retry_queue.pop(i)
                     return job, attempt
-            return None
+            if ts.study.is_done():
+                return None
+            if ts.hub:
+                # The scheduler emits under the backend lock, so its
+                # decision events interleave in dispatch order.
+                ts.hub.set_time(now)
+            job = ts.study.ask()
+            if job is None:
+                return None
+            attempt = 1 if ts.faults is None else ts.faults.attempt_number(job)
+            return job, attempt
 
         def watchdog() -> None:
             """Fail jobs in flight past the policy's wall-clock timeout."""
@@ -293,405 +306,8 @@ class ThreadPoolBackend:
                                 probes.in_flight.set(float(len(in_flight)))
                             timed_out.add(token)
                             fail_job(
-                                job, worker_id, reason="timeout", lost=now - t0, t=now
+                                token[0], job, worker_id, reason="timeout", lost=now - t0, t=now
                             )
-
-        def worker(worker_id: int) -> None:
-            was_idle = False
-            while not stop.is_set() and clock() < time_limit:
-                with lock:
-                    if (
-                        max_measurements is not None
-                        and len(result.measurements) >= max_measurements
-                    ):
-                        stop.set()
-                        return
-                    now = clock()
-                    ready = pop_ready_retry(now)
-                    if ready is not None:
-                        job, attempt = ready
-                    elif prefetch:
-                        # Batched-ahead work takes priority over the is_done
-                        # check: these jobs are already journalled/dispatched
-                        # from the study's point of view.
-                        job = prefetch.popleft()
-                        attempt = 1 if faults is None else faults.attempt_number(job)
-                    elif study.is_done():
-                        if not retry_queue:
-                            return
-                        job = None  # retries pending but still backing off
-                        attempt = 1
-                    else:
-                        if hub:
-                            # The scheduler emits under the backend lock, so
-                            # its decision events interleave in dispatch order.
-                            hub.set_time(now)
-                        if self.ask_batch_size > 1:
-                            batch = study.ask_batch(self.ask_batch_size)
-                            job = batch[0] if batch else None
-                            prefetch.extend(batch[1:])
-                        else:
-                            job = study.ask()
-                        attempt = 1 if faults is None or job is None else faults.attempt_number(job)
-                    if job is not None:
-                        result.jobs_dispatched += 1
-                        store.prepare(job)  # donor snapshot under the lock
-                        token = (job.job_id, attempt)
-                        in_flight[token] = (job, clock(), worker_id)
-                        if probes is not None:
-                            probes.dispatches.inc()
-                            probes.in_flight.set(float(len(in_flight)))
-                if job is None:
-                    if hub and not was_idle:
-                        # Emit only on the busy -> idle transition, not every
-                        # poll, so a rung barrier doesn't flood the stream.
-                        hub.emit(EventKind.WORKER_IDLE, time=clock(), worker_id=worker_id)
-                    was_idle = True
-                    _time.sleep(self.poll_interval)
-                    continue
-                was_idle = False
-                t0 = clock()
-                if hub:
-                    extra = {"attempt": attempt} if attempt > 1 else {}
-                    hub.emit(
-                        EventKind.JOB_STARTED,
-                        time=t0,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        worker_id=worker_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        resource=job.resource,
-                        checkpoint_resource=job.checkpoint_resource,
-                        **extra,
-                    )
-                error: str | None = None
-                try:
-                    # Real training happens outside the lock; the store method
-                    # both trains and persists the checkpoint, so serialise the
-                    # (cheap) checkpoint lookup/update inside `run_job` itself
-                    # by holding the lock only around the dict mutation.
-                    from_resource, state = store.starting_state(job, objective)
-                    state, loss = objective.train(state, job.config, from_resource, job.resource)
-                except Exception as exc:  # noqa: BLE001 — any training crash forfeits
-                    error = repr(exc)
-                t1 = clock()
-                with lock:
-                    busy_time[0] += t1 - t0
-                    if token in timed_out:
-                        # The watchdog already failed this dispatch and
-                        # released the scheduler; the late result is stale.
-                        timed_out.discard(token)
-                        store.discard(job)
-                        continue
-                    in_flight.pop(token, None)
-                    if probes is not None:
-                        probes.collects.inc()
-                        probes.in_flight.set(float(len(in_flight)))
-                    if error is not None:
-                        store.discard(job)
-                        fail_job(
-                            job,
-                            worker_id,
-                            reason="exception",
-                            lost=t1 - t0,
-                            t=t1,
-                            error=error,
-                        )
-                    else:
-                        if faults is not None:
-                            faults.record_success(job)
-                        store.put(job.trial_id, job.resource, state)
-                        record_report(result, study, job, loss, t1, done_resource)
-                        if hub:
-                            hub.emit(
-                                EventKind.REPORT,
-                                time=t1,
-                                trial_id=job.trial_id,
-                                job_id=job.job_id,
-                                worker_id=worker_id,
-                                rung=job.rung,
-                                bracket=job.bracket,
-                                loss=loss,
-                                resource=job.resource,
-                                busy=t1 - t0,
-                            )
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(self.num_workers)
-        ]
-        if retry_policy is not None and retry_policy.timeout is not None:
-            threads.append(threading.Thread(target=watchdog, daemon=True))
-        for t in threads:
-            t.start()
-        # All joins share one deadline: the run may not take longer than
-        # time_limit (plus the grace window below) no matter how many workers
-        # there are.  The stop flag is raised before the grace joins so that
-        # pollers exit instead of sleeping through their next poll.
-        deadline = start + time_limit
-        for t in threads:
-            t.join(timeout=max(deadline - _time.monotonic(), 0.0))
-        stop.set()
-        grace_deadline = _time.monotonic() + self.shutdown_grace
-        for t in threads:
-            t.join(timeout=max(grace_deadline - _time.monotonic(), 0.0))
-        result.elapsed = clock()
-        result.utilization = min(busy_time[0] / (self.num_workers * max(result.elapsed, 1e-9)), 1.0)
-        study.finalize()  # journal durability: flush + fsync
-        if hub:
-            result.telemetry = hub.finalize(
-                elapsed=max(result.elapsed, 1e-9), num_workers=self.num_workers
-            )
-        if tracer is not None:
-            result.trace = tracer.build()
-        return result
-
-    def run_many(
-        self,
-        tasks: "list[tuple[Scheduler | Study, Objective]]",
-        *,
-        time_limit: float,
-        max_resource: float | None = None,
-        max_measurements: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-    ) -> list[BackendResult]:
-        """Drive many studies through one shared worker pool.
-
-        The multiplexed sibling of :meth:`run`: ``tasks`` is a list of
-        ``(scheduler_or_study, objective)`` pairs, and the pool's workers
-        round-robin their asks across every study that still has work —
-        one process, one set of threads, N concurrent searches.  A study
-        whose scheduler is momentarily starved (rung barrier) simply cedes
-        its turn instead of parking a dedicated worker in a poll loop,
-        which is the whole point: worker threads are shared capacity, not
-        per-study property.
-
-        Semantics per study match :meth:`run`: asks/reports happen under
-        the backend lock against that study (journal-backed studies
-        journal exactly their own interactions — a study's journal is
-        byte-equivalent in *content* to a solo run, though wall-clock
-        timings naturally differ); ``retry_policy`` gives each study its
-        own :class:`FaultManager` with wall-clock backoff; telemetry hubs
-        attached to individual studies receive only their study's events,
-        stamped with the shared run clock.  ``ask_batch_size > 1`` keeps a
-        per-study prefetch queue.
-
-        Wall-clock timeouts (``retry_policy.timeout``) are not enforced
-        here — use solo :meth:`run` when a watchdog is needed.
-
-        Each study's :attr:`BackendResult.utilization` is its share of the
-        *pool's* capacity (busy time over ``num_workers x elapsed``), so
-        the values sum to at most 1 across studies.
-
-        Returns per-study results in task order.
-        """
-        if time_limit <= 0:
-            raise ValueError(f"time_limit must be positive, got {time_limit}")
-        if not tasks:
-            raise ValueError("no tasks given")
-        if retry_policy is not None and retry_policy.timeout is not None:
-            raise ValueError(
-                "retry_policy.timeout (wall-clock watchdog) is not supported by "
-                "run_many; use run() for watchdog enforcement"
-            )
-        probes = backend_probes("threads")
-
-        class _TaskState:
-            __slots__ = (
-                "study",
-                "objective",
-                "done_resource",
-                "store",
-                "result",
-                "hub",
-                "faults",
-                "prefetch",
-                "retry_queue",
-                "busy",
-                "capped",
-            )
-
-            def __init__(self, scheduler, objective) -> None:
-                self.study = (
-                    scheduler if isinstance(scheduler, Study) else Study(scheduler)
-                )
-                self.objective = objective
-                self.done_resource = (
-                    max_resource if max_resource is not None else objective.max_resource
-                )
-                self.store = CheckpointStore()
-                self.result = BackendResult()
-                self.hub = self.study.telemetry
-                self.store.telemetry = self.hub
-                self.store.seed_from_trials(self.study.trials)
-                self.faults = (
-                    FaultManager(retry_policy) if retry_policy is not None else None
-                )
-                self.prefetch: deque[Job] = deque()
-                self.retry_queue: list[tuple[float, Job, int]] = []
-                self.busy = 0.0
-                self.capped = False
-
-            def exhausted(self) -> bool:
-                """No dispatchable work and none coming from the scheduler."""
-                if self.capped:
-                    return not self.retry_queue
-                return (
-                    not self.prefetch
-                    and not self.retry_queue
-                    and self.study.is_done()
-                )
-
-        states = [_TaskState(scheduler, objective) for scheduler, objective in tasks]
-        lock = threading.Lock()
-        stop = threading.Event()
-        start = _time.monotonic()
-        rr = [0]  # shared round-robin cursor, advanced under the lock
-
-        def clock() -> float:
-            return _time.monotonic() - start
-
-        def fail_job(
-            ts: "_TaskState",
-            job: Job,
-            worker_id: int | None,
-            *,
-            reason: str,
-            lost: float,
-            t: float,
-            error: str | None = None,
-        ) -> None:
-            """Route one failed attempt for ``ts`` (caller holds the lock)."""
-            result = ts.result
-            study = ts.study
-            hub = ts.hub
-            faults = ts.faults
-            result.failures.append((t, job.trial_id))
-            result.time_lost_to_failures += lost
-            extra: dict[str, object] = {}
-            if error is not None:
-                extra["error"] = error
-            if hub:
-                hub.set_time(t)
-            if faults is None:
-                study.on_job_failed(job)
-                result.failure_log.append(
-                    FailureRecord(
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        reason=reason,
-                        action="forfeited",
-                        error=error,
-                        lost=lost,
-                    )
-                )
-                if hub:
-                    hub.emit(
-                        EventKind.JOB_FAILED,
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        worker_id=worker_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        reason=reason,
-                        busy=lost,
-                        **extra,
-                    )
-                return
-            decision = faults.record_failure(job, reason=reason, lost=lost)
-            result.failure_log.append(
-                FailureRecord(
-                    time=t,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    reason=reason,
-                    action="retried" if decision.retry else "abandoned",
-                    attempt=decision.failures,
-                    error=error,
-                    lost=lost,
-                )
-            )
-            if hub:
-                hub.emit(
-                    EventKind.JOB_FAILED,
-                    time=t,
-                    trial_id=job.trial_id,
-                    job_id=job.job_id,
-                    worker_id=worker_id,
-                    rung=job.rung,
-                    bracket=job.bracket,
-                    reason=reason,
-                    attempt=decision.failures,
-                    lost=lost,
-                    busy=lost,
-                    **extra,
-                )
-            if decision.retry:
-                result.jobs_retried += 1
-                study.on_job_requeued(job)
-                if hub:
-                    hub.emit(
-                        EventKind.JOB_RETRIED,
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        attempt=decision.failures + 1,
-                        delay=decision.delay,
-                        retry_at=t + decision.delay,
-                    )
-                ts.retry_queue.append((t + decision.delay, job, decision.failures + 1))
-                if probes is not None:
-                    probes.retries.inc()
-            else:
-                result.trials_abandoned += 1
-                study.on_trial_abandoned(job)
-                if hub:
-                    hub.emit(
-                        EventKind.TRIAL_ABANDONED,
-                        time=t,
-                        trial_id=job.trial_id,
-                        job_id=job.job_id,
-                        rung=job.rung,
-                        bracket=job.bracket,
-                        failures=decision.failures,
-                        reason=reason,
-                    )
-
-        def take_job(ts: "_TaskState", now: float) -> tuple[Job, int] | None:
-            """One dispatchable job from ``ts``, or None (caller holds the lock)."""
-            if (
-                max_measurements is not None
-                and len(ts.result.measurements) >= max_measurements
-            ):
-                ts.capped = True
-            for i, (ready_at, job, attempt) in enumerate(ts.retry_queue):
-                if ready_at <= now:
-                    ts.retry_queue.pop(i)
-                    return job, attempt
-            if ts.capped:
-                return None
-            if ts.prefetch:
-                job = ts.prefetch.popleft()
-            elif ts.study.is_done():
-                return None
-            else:
-                if ts.hub:
-                    ts.hub.set_time(now)
-                if self.ask_batch_size > 1:
-                    batch = ts.study.ask_batch(self.ask_batch_size)
-                    job = batch[0] if batch else None
-                    ts.prefetch.extend(batch[1:])
-                else:
-                    job = ts.study.ask()
-                if job is None:
-                    return None
-            attempt = 1 if ts.faults is None else ts.faults.attempt_number(job)
-            return job, attempt
 
         def worker(worker_id: int) -> None:
             was_idle = False
@@ -711,15 +327,21 @@ class ThreadPoolBackend:
                             # Next worker starts at the study after this one.
                             rr[0] = (rr[0] + k + 1) % n
                             break
-                    if job is None and all(s.exhausted() for s in states):
-                        return
-                    if job is not None:
+                    if job is None:
+                        if all(s.exhausted() for s in states):
+                            return
+                    else:
                         ts.result.jobs_dispatched += 1
-                        ts.store.prepare(job)
+                        ts.store.prepare(job)  # donor snapshot under the lock
+                        token = (ts, job.job_id, attempt)
+                        in_flight[token] = (job, clock(), worker_id)
                         if probes is not None:
                             probes.dispatches.inc()
+                            probes.in_flight.set(float(len(in_flight)))
                 if job is None:
                     if not was_idle:
+                        # Emit only on the busy -> idle transition, not every
+                        # poll, so a rung barrier doesn't flood the stream.
                         now = clock()
                         for s in states:
                             if s.hub:
@@ -747,6 +369,8 @@ class ThreadPoolBackend:
                     )
                 error: str | None = None
                 try:
+                    # Real training happens outside the lock; the store
+                    # serialises its own (cheap) checkpoint lookups.
                     from_resource, state = ts.store.starting_state(job, ts.objective)
                     state, loss = ts.objective.train(
                         state, job.config, from_resource, job.resource
@@ -756,8 +380,16 @@ class ThreadPoolBackend:
                 t1 = clock()
                 with lock:
                     ts.busy += t1 - t0
+                    if token in timed_out:
+                        # The watchdog already failed this dispatch and
+                        # released the scheduler; the late result is stale.
+                        timed_out.discard(token)
+                        ts.store.discard(job)
+                        continue
+                    in_flight.pop(token, None)
                     if probes is not None:
                         probes.collects.inc()
+                        probes.in_flight.set(float(len(in_flight)))
                     if error is not None:
                         ts.store.discard(job)
                         fail_job(
@@ -773,7 +405,15 @@ class ThreadPoolBackend:
                         if ts.faults is not None:
                             ts.faults.record_success(job)
                         ts.store.put(job.trial_id, job.resource, state)
-                        record_report(ts.result, ts.study, job, loss, t1, ts.done_resource)
+                        record_report(
+                            ts.result,
+                            ts.study,
+                            job,
+                            loss,
+                            t1,
+                            ts.done_resource,
+                            ts.bracket_snapshot,
+                        )
                         if ts.hub:
                             ts.hub.emit(
                                 EventKind.REPORT,
@@ -788,14 +428,23 @@ class ThreadPoolBackend:
                                 busy=t1 - t0,
                             )
 
-        threads = [
+        workers = [
             threading.Thread(target=worker, args=(i,), daemon=True)
             for i in range(self.num_workers)
         ]
+        threads = list(workers)
+        if retry_policy is not None and retry_policy.timeout is not None:
+            threads.append(threading.Thread(target=watchdog, daemon=True))
         for t in threads:
             t.start()
+        # All worker joins share one deadline: the run may not take longer
+        # than time_limit (plus the grace window below) no matter how many
+        # workers there are.  The watchdog has nothing to watch once they
+        # have returned, so it is only joined after the stop flag is up —
+        # raised before the grace joins so that pollers exit instead of
+        # sleeping through their next poll.
         deadline = start + time_limit
-        for t in threads:
+        for t in workers:
             t.join(timeout=max(deadline - _time.monotonic(), 0.0))
         stop.set()
         grace_deadline = _time.monotonic() + self.shutdown_grace
@@ -808,7 +457,7 @@ class ThreadPoolBackend:
             ts.result.utilization = min(
                 ts.busy / (self.num_workers * max(elapsed, 1e-9)), 1.0
             )
-            ts.study.finalize()
+            ts.study.finalize()  # journal durability: flush + fsync
             if ts.hub:
                 ts.result.telemetry = ts.hub.finalize(
                     elapsed=max(elapsed, 1e-9), num_workers=self.num_workers

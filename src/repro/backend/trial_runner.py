@@ -9,48 +9,21 @@ claims of Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from ..core.scheduler import Scheduler
 from ..core.types import Job, Measurement
-from ..telemetry import MetricsReport
-from ..telemetry.tracing import Trace
+from ..study import Study
+from ..telemetry import MetricsReport, TelemetryHub
+from ..telemetry.tracing import Trace, TraceBuilder
 
-__all__ = ["BackendResult", "FailureRecord", "record_report"]
-
-
-# Per-scheduler report plumbing (Study.tell vs bare report; the
-# ``completed_brackets`` counter as a method on SynchronousSHA vs a plain
-# attribute on Hyperband), resolved once per scheduler object instead of
-# re-running three getattr/callable probes per completion —
-# ``record_report`` sits in the simulator's hottest loop.  The scheduler
-# reference in the value keeps the id-key honest across gc reuse.
-_REPORT_PLUMBING: dict[int, tuple[object, object, object]] = {}
-_REPORT_PLUMBING_CAP = 64
-
-
-def _report_plumbing(scheduler: Scheduler) -> tuple[object, object]:
-    hit = _REPORT_PLUMBING.get(id(scheduler))
-    if hit is not None and hit[0] is scheduler:
-        return hit[1], hit[2]
-    tell = getattr(scheduler, "tell", None)
-    if not callable(tell):
-        tell = None
-    # Only a Study exposes ``.scheduler``; unwrap it to reach the counter.
-    target = getattr(scheduler, "scheduler", scheduler)
-    counter = getattr(target, "completed_brackets", None)
-    if callable(counter):
-        snapshot = counter  # bound method: call per report
-    elif counter is None:
-        snapshot = None
-    else:
-        # Mutable data attribute: re-read it on every report.
-        def snapshot(target=target):  # noqa: ANN001
-            return target.completed_brackets
-
-    if len(_REPORT_PLUMBING) >= _REPORT_PLUMBING_CAP:
-        _REPORT_PLUMBING.clear()
-    _REPORT_PLUMBING[id(scheduler)] = (scheduler, tell, snapshot)
-    return tell, snapshot
+__all__ = [
+    "BackendResult",
+    "FailureRecord",
+    "bracket_counter",
+    "record_report",
+    "wire_telemetry",
+]
 
 
 @dataclass(frozen=True)
@@ -119,28 +92,62 @@ class BackendResult:
         return sum(1 for t, _ in self.completions if t <= by_time)
 
 
+def wire_telemetry(
+    scheduler: Scheduler | Study, telemetry: TelemetryHub | None, trace: bool
+) -> tuple[Study, Any, TraceBuilder | None]:
+    """The ``(study, hub, tracer)`` a run drives, from ``run()``'s arguments.
+
+    A bare scheduler gets an unjournalled :class:`~repro.study.Study` so
+    backends have exactly one code path; ``trace`` rides a
+    :class:`~repro.telemetry.TraceBuilder` on the hub as a sink (creating a
+    hub if there was none).
+    """
+    study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
+    hub = telemetry if telemetry is not None else study.telemetry
+    tracer = None
+    if trace:
+        tracer = TraceBuilder()
+        if not hub:
+            hub = TelemetryHub()
+        hub.add_sink(tracer)
+    if telemetry is not None or tracer is not None:
+        study.attach_telemetry(hub)
+    return study, hub, tracer
+
+
+def bracket_counter(study: Study) -> Callable[[], int] | None:
+    """Zero-argument reader of the scheduler's ``completed_brackets``, or ``None``.
+
+    Resolved once per run: the counter is a method on ``SynchronousSHA``, a
+    plain attribute on ``Hyperband``, and absent elsewhere.
+    """
+    scheduler = study.scheduler
+    counter = getattr(scheduler, "completed_brackets", None)
+    if counter is None or callable(counter):
+        return counter
+    return lambda: scheduler.completed_brackets
+
+
 def record_report(
     result: BackendResult,
-    scheduler: Scheduler,
+    study: Study,
     job: Job,
     loss: float,
     time: float,
     max_resource: float | None,
+    snapshot: Callable[[], int] | None,
 ) -> None:
-    """Deliver a completed job's loss to the scheduler and log it.
+    """Tell the study a completed job's loss and log it.
 
-    The scheduler records the measurement on the trial itself (see
-    ``Scheduler.note_result``); the backend keeps its own timestamped log.
+    The study journals the result before the scheduler sees it
+    (write-ahead) and the scheduler records the measurement on the trial
+    itself (see ``Scheduler.note_result``); the backend keeps its own
+    timestamped log.  ``snapshot`` is the run's :func:`bracket_counter`.
     """
-    measurement = Measurement(trial_id=job.trial_id, resource=job.resource, loss=loss, time=time)
-    # A journal-backed Study journals the result before the scheduler sees
-    # it (write-ahead); a bare scheduler takes the report directly.
-    tell, snapshot = _report_plumbing(scheduler)
-    if tell is not None:
-        tell(job, loss, time=time)
-    else:
-        scheduler.report(job, loss)
-    result.measurements.append(measurement)
+    study.tell(job, loss, time=time)
+    result.measurements.append(
+        Measurement(trial_id=job.trial_id, resource=job.resource, loss=loss, time=time)
+    )
     # ``completed_brackets`` resolves to a plain count so the snapshot log
     # stays scheduler-free (and therefore picklable for the parallel engine).
     result.bracket_snapshots.append(None if snapshot is None else snapshot())

@@ -28,7 +28,7 @@ from ..searchspace import SearchSpace
 from ..telemetry import EventKind
 from .bracket import Bracket
 from .scheduler import Scheduler
-from .types import Config, Job, Measurement, TrialStatus
+from .types import Config, Job, TrialStatus
 
 __all__ = ["ASHA"]
 
@@ -122,52 +122,6 @@ class ASHA(Scheduler):
         trial = self.new_trial(config, origin=origin)
         return self.make_job(trial, self.bracket.rung_resource(0), rung=0)
 
-    def next_job_batch(self, k: int) -> list[Job]:
-        """Batched ``get_job``: identical decisions, shared bookkeeping.
-
-        Drains promotions (each ``find_promotion`` poll hits the bracket's
-        cache unless the previous promotion changed the answer) and then
-        grows the base rung, with the searcher/cap guards hoisted out of
-        the loop where they are constant.  Job for job and rng draw for
-        rng draw the same as ``k`` single calls.
-        """
-        jobs: list[Job] = []
-        bracket = self.bracket
-        trials = self.trials
-        uncapped_sampling = self.max_trials is None and self.searcher is None
-        while len(jobs) < k:
-            promotion = bracket.find_promotion()
-            if promotion is not None:
-                trial_id, target_rung = promotion
-                bracket.promote(trial_id, target_rung - 1)
-                trial = trials[trial_id]
-                trial.rung = target_rung
-                if self.telemetry:
-                    self.telemetry.emit(
-                        EventKind.PROMOTION,
-                        trial_id=trial_id,
-                        rung=target_rung,
-                        from_rung=target_rung - 1,
-                    )
-                jobs.append(
-                    self.make_job(
-                        trial,
-                        bracket.rung_resource(target_rung),
-                        rung=target_rung,
-                        from_checkpoint=self.from_checkpoint,
-                    )
-                )
-                continue
-            if not uncapped_sampling:
-                if self.max_trials is not None and len(trials) >= self.max_trials:
-                    break
-                if self.searcher_exhausted():
-                    break
-            config, origin = self.propose_config()
-            trial = self.new_trial(config, origin=origin)
-            jobs.append(self.make_job(trial, bracket.rung_resource(0), rung=0))
-        return jobs
-
     def report(self, job: Job, loss: float) -> None:
         """File the result into the job's rung and pause/complete the trial."""
         self.note_result(job, loss)
@@ -182,33 +136,6 @@ class ASHA(Scheduler):
                 self.searcher.on_trial_complete(trial, loss)
         else:
             trial.status = TrialStatus.PAUSED
-
-    def report_batch(self, results: list[tuple[Job, float]]) -> None:
-        """Batched :meth:`report`: same per-result effects, hoisted lookups.
-
-        The rung records still land one by one (each invalidates the
-        promotion cache exactly as the single-call path does), but the
-        trial-table/bracket attribute chases and the searcher-absence check
-        are paid once per batch instead of once per result.
-        """
-        trials = self.trials
-        bracket = self.bracket
-        searcher = self.searcher
-        top = bracket.top_rung_index
-        if searcher is not None:
-            for job, loss in results:
-                self.report(job, loss)
-            return
-        for job, loss in results:
-            trial = trials[job.trial_id]
-            trial.record(
-                Measurement(trial_id=job.trial_id, resource=job.resource, loss=loss)
-            )
-            bracket.record(job.rung, job.trial_id, loss)
-            if top is not None and job.rung >= top:
-                trial.status = TrialStatus.COMPLETED
-            else:
-                trial.status = TrialStatus.PAUSED
 
     def on_job_failed(self, job: Job) -> None:
         """Dropped base-rung jobs are forgotten; dropped promotions retry.

@@ -101,29 +101,6 @@ class Hyperband(Scheduler):
             return self.next_job()
         return job
 
-    def next_job_batch(self, k: int) -> list[Job]:
-        """Fill from the active SHA bracket in one call, rolling over on completion.
-
-        Delegates to the inner bracket's ``next_job_batch`` and advances to
-        the next bracket exactly where the single-call path would recurse,
-        so the dispatched sequence is identical job for job.
-        """
-        jobs: list[Job] = []
-        while len(jobs) < k:
-            if self._current is None:
-                if self.max_loops is not None and self._loops >= self.max_loops:
-                    break
-                self._current = self._make_bracket(self._current_s)
-            current = self._current
-            jobs.extend(current.next_job_batch(k - len(jobs)))
-            if len(jobs) >= k:
-                break
-            if current.is_done():
-                self._advance_bracket()
-                continue
-            break  # blocked on a rung barrier: a longer batch is not coming
-        return jobs
-
     def report(self, job: Job, loss: float) -> None:
         sha = self._owner_of(job)
         sha.report(job, loss)

@@ -91,17 +91,12 @@ class Scheduler(ABC):
         """Ingest the validation loss of a completed job."""
 
     def next_job_batch(self, k: int) -> list[Job]:
-        """Return up to ``k`` jobs for free workers.
+        """Up to ``k`` jobs: :meth:`next_job` ``k`` times, trailing ``None`` dropped.
 
-        Equivalent — job for job, rng draw for rng draw — to calling
-        :meth:`next_job` ``k`` times and dropping the trailing ``None``:
-        a short batch means the scheduler is (currently) blocked or
-        finished, exactly like a ``None`` from the single-job form.
-
-        The default loops; schedulers with per-call overhead worth
-        amortising (ASHA's promotion scan, rung bookkeeping) override.
-        Backends use this to fill all free workers in one call instead of
-        one ask per worker.
+        A short batch means the scheduler is (currently) blocked or
+        finished.  This loop is the only implementation — no scheduler
+        overrides it — because the master asks once per freed worker
+        (Algorithm 2), so ``k = 1`` is the traffic that matters.
         """
         jobs: list[Job] = []
         for _ in range(k):
@@ -112,13 +107,7 @@ class Scheduler(ABC):
         return jobs
 
     def report_batch(self, results: list[tuple[Job, float]]) -> None:
-        """Ingest a batch of completed-job losses, in order.
-
-        Equivalent to calling :meth:`report` per ``(job, loss)`` pair in
-        sequence; overrides may amortise shared bookkeeping but must keep
-        the per-result effects (trial status, telemetry, searcher updates)
-        identical and ordered.
-        """
+        """Ingest completed-job losses in order: :meth:`report` per pair."""
         for job, loss in results:
             self.report(job, loss)
 

@@ -31,7 +31,7 @@ from ..searchspace import SearchSpace
 from ..telemetry import EventKind
 from .bracket import Bracket
 from .scheduler import Scheduler
-from .types import Config, Job, Measurement, TrialStatus
+from .types import Config, Job, TrialStatus
 
 __all__ = ["SynchronousSHA"]
 
@@ -202,33 +202,6 @@ class SynchronousSHA(Scheduler):
         else:
             trial.status = TrialStatus.PAUSED
         run.maybe_advance()
-
-    def report_batch(self, results: list[tuple[Job, float]]) -> None:
-        """Batched :meth:`report` with the table lookups hoisted.
-
-        Rung records and barrier advances stay strictly per-result (a rung
-        may close mid-batch, and its telemetry must interleave exactly as
-        the single-call path emits it); only the attribute chases and the
-        searcher-absence branch are amortised.
-        """
-        if self.searcher is not None:
-            for job, loss in results:
-                self.report(job, loss)
-            return
-        trials = self.trials
-        run_of_trial = self._run_of_trial
-        for job, loss in results:
-            trial_id = job.trial_id
-            trial = trials[trial_id]
-            trial.record(Measurement(trial_id=trial_id, resource=job.resource, loss=loss))
-            run = run_of_trial[trial_id]
-            run.outstanding.discard(trial_id)
-            run.bracket.record(job.rung, trial_id, loss)
-            if job.rung == run.bracket.top_rung_index:
-                trial.status = TrialStatus.COMPLETED
-            else:
-                trial.status = TrialStatus.PAUSED
-            run.maybe_advance()
 
     def on_job_failed(self, job: Job) -> None:
         """Drop the configuration from its rung so the barrier can still close.

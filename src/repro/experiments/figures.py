@@ -125,30 +125,14 @@ def figure2_traces() -> dict[str, list[tuple[int, int]]]:
         jobs: list[tuple[int, int]] = []
         cluster = SimulatedCluster(1, seed=0)
         original_next = scheduler.next_job
-        original_next_batch = scheduler.next_job_batch
-        # The backend may pull work through either surface (the batched one
-        # bypasses ``next_job`` in ASHA/Hyperband), so hook both and dedupe
-        # by job id for schedulers whose batch path delegates to next_job.
-        seen: set[int] = set()
 
-        def record(job):
-            if job is not None and job.job_id not in seen:
-                seen.add(job.job_id)
-                jobs.append((job.trial_id + 1, job.rung))
-
-        def recording_next(original=original_next):
+        def recording_next(original=original_next, jobs=jobs):
             job = original()
-            record(job)
+            if job is not None:
+                jobs.append((job.trial_id + 1, job.rung))
             return job
 
-        def recording_next_batch(k, original=original_next_batch):
-            batch = original(k)
-            for job in batch:
-                record(job)
-            return batch
-
         scheduler.next_job = recording_next  # type: ignore[method-assign]
-        scheduler.next_job_batch = recording_next_batch  # type: ignore[method-assign]
         cluster.run(scheduler, objective, time_limit=1e9)
         traces[name] = jobs
     return traces

@@ -185,40 +185,28 @@ class Journal:
         In group-commit mode the line buffers in memory instead; it becomes
         OS-visible at the writer's next :meth:`commit`.
         """
-        if self._closed:
-            raise ValueError("Journal is closed")
-        line = encode_record(record) + "\n"
-        if self._probes is not None:
-            self._probes.bytes.inc(len(line))
-        if self._pending is not None:
-            self._pending.append(line)
-            return
-        assert self._file is not None
-        self._file.write(line)
-        self._file.flush()
+        self._write(encode_record(record) + "\n")
 
     def append_batch(self, records: list[dict[str, Any]]) -> None:
         """Write a block of records with a single flush.
 
         The on-disk bytes are exactly those of per-record :meth:`append`
-        calls — one canonical-encoded line each — but the block becomes
-        OS-visible in one write+flush instead of one per record, which is
-        what makes batched ask/tell pay off under journaling.  Crash
-        mid-block tears at most the final line, which reopening heals like
-        any torn tail.
+        calls.  A crash mid-block tears at most the final line, which
+        reopening heals like any torn tail.
         """
+        if records:
+            self._write("".join(encode_record(record) + "\n" for record in records))
+
+    def _write(self, text: str) -> None:
         if self._closed:
             raise ValueError("Journal is closed")
-        if not records:
-            return
-        block = "".join(encode_record(record) + "\n" for record in records)
         if self._probes is not None:
-            self._probes.bytes.inc(len(block))
+            self._probes.bytes.inc(len(text))
         if self._pending is not None:
-            self._pending.append(block)
+            self._pending.append(text)
             return
         assert self._file is not None
-        self._file.write(block)
+        self._file.write(text)
         self._file.flush()
 
     def commit(self) -> None:
@@ -229,10 +217,8 @@ class Journal:
         mode this is a no-op (every append already flushed).
         """
         if self._pending:
-            data = "".join(self._pending).encode("utf-8")
-            self._pending.clear()
             with open(self.path, "ab") as fh:
-                fh.write(data)
+                fh.write(self._take_pending())
 
     def _take_pending(self) -> bytes:
         """Drain the pending buffer as bytes (WAL-backed group commit)."""
@@ -257,26 +243,19 @@ class Journal:
                 # groups every journal's tail into one WAL commit (one
                 # fsync total) instead of draining here per file.
                 return
-            data = "".join(self._pending).encode("utf-8")
-            self._pending.clear()
             with open(self.path, "ab") as fh:
-                if data:
-                    fh.write(data)
+                fh.write(self._take_pending())
                 fh.flush()
-                started = 0.0 if self._probes is None else perf_counter()
-                try:
-                    os.fsync(fh.fileno())
-                except OSError:
-                    pass
-                if self._probes is not None:
-                    self._probes.fsyncs.inc()
-                    self._probes.fsync_seconds.observe(perf_counter() - started)
+                self._fsync(fh)
             return
         assert self._file is not None
         self._file.flush()
+        self._fsync(self._file)
+
+    def _fsync(self, fh: IO[Any]) -> None:
         started = 0.0 if self._probes is None else perf_counter()
         try:
-            os.fsync(self._file.fileno())
+            os.fsync(fh.fileno())
         except (OSError, ValueError):
             pass  # not a real file descriptor (tests passing pipes, ...)
         if self._probes is not None:

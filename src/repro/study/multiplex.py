@@ -3,18 +3,17 @@
 The paper's system is a *service*: many users' tuning workloads share one
 deployment, and per-study overhead is what caps how many studies a single
 process can host.  PR 7/8 built the per-study substrate (journal-backed
-ask/tell :class:`~repro.study.Study`, batched ``ask_batch``/``tell_batch``,
-the calendar-queue :class:`~repro.backend.events.EventQueue`); the
-multiplexer amortises the remaining O(studies) costs across one shared
-loop:
+ask/tell :class:`~repro.study.Study`, the calendar-queue
+:class:`~repro.backend.events.EventQueue`); the multiplexer amortises the
+remaining O(studies) costs across one shared loop:
 
 * **one simulated clock** — every study's events land on one shared
   calendar queue, tagged with their owning run, and a single event loop
   (:func:`repro.backend.simulation.drive_runs`) delivers them in global
   time order;
-* **cross-study batched dispatch** — free worker capacity is filled by
-  round-robin ``ask_batch`` across ready studies, with a per-round
-  ``fair_share`` cap so one hot study cannot starve the rest;
+* **cross-study dispatch** — free worker capacity is filled by
+  round-robin asks across ready studies, with a per-round ``fair_share``
+  cap so one hot study cannot starve the rest;
 * **group-commit journaling** — all study journals share one
   :class:`~repro.study.journal.JournalWriter`; appends buffer per study
   and flush in one sweep every ``commit_interval`` ticks instead of one
@@ -37,7 +36,6 @@ in-process multiplexer to the ask/tell daemon.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -263,16 +261,9 @@ class StudyMultiplexer:
                     pending = 0
                     writer.commit()
 
-        # Same gc scope the solo runner uses, paid once for all N studies
-        # instead of once per study.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             drive_runs(self._queue, self._runs, on_tick=on_tick)
         finally:
-            if gc_was_enabled:
-                gc.enable()
             for run in self._runs:
                 # Commits any buffered journal tail and fsyncs (via
                 # Study.finalize -> Journal.finalize), then tears down the

@@ -109,42 +109,32 @@ class Study:
         if self._orphaned:
             # Restore mode: the crash left this job in flight.  Its ask
             # record is already on disk, so hand it out without journaling.
-            return self._orphaned.popleft()
-        job = self.scheduler.next_job()
-        if job is None:
-            return None
-        if self.journal is not None or self._cursor_pos < len(self._cursor):
-            # Unjournalled live studies skip building the record outright:
-            # the config round-trip through canonical JSON dominated the
-            # simulator's ask cost and the dict was thrown away unseen.
-            self._record(self._ask_record(job))
+            job = self._orphaned.popleft()
+        else:
+            job = self.scheduler.next_job()
+            if job is None:
+                return None
+            if self.journal is not None or self._cursor_pos < len(self._cursor):
+                # Unjournalled live studies skip building the record outright:
+                # the config round-trip through canonical JSON dominated the
+                # simulator's ask cost and the dict was thrown away unseen.
+                self._record(self._ask_record(job))
+        if self._probes is not None:
+            self._probes.ask_batch_jobs.observe(1.0)
         return job
 
     def ask_batch(self, k: int) -> list[Job]:
-        """Up to ``k`` jobs in one call; short means blocked/paused/done.
+        """Up to ``k`` jobs: :meth:`ask` ``k`` times, trailing ``None`` dropped.
 
-        Equivalent to ``k`` :meth:`ask` calls with the trailing ``None``
-        dropped — same jobs, same journal bytes — but the scheduler fills
-        the batch through :meth:`~repro.core.Scheduler.next_job_batch` and
-        the journal takes the ask records as one appended block.
+        Short means blocked/paused/done.  Same jobs, RNG draws and journal
+        bytes as the single calls it is made of.
         """
-        if self.paused or k <= 0:
-            return []
         jobs: list[Job] = []
-        while self._orphaned and len(jobs) < k:
-            jobs.append(self._orphaned.popleft())
-        n_orphaned = len(jobs)
-        if n_orphaned < k:
-            jobs.extend(self.scheduler.next_job_batch(k - n_orphaned))
-        fresh = jobs[n_orphaned:]
-        if fresh:
-            if self._cursor_pos < len(self._cursor):
-                for job in fresh:
-                    self._record(self._ask_record(job))
-            elif self.journal is not None:
-                self.journal.append_batch([self._ask_record(job) for job in fresh])
-        if jobs and self._probes is not None:
-            self._probes.ask_batch_jobs.observe(float(len(jobs)))
+        for _ in range(k):
+            job = self.ask()
+            if job is None:
+                break
+            jobs.append(job)
         return jobs
 
     def _ask_record(self, job: Job) -> dict[str, Any]:
@@ -168,41 +158,30 @@ class Study:
         losing it.
         """
         probes = self._probes
-        started = 0.0 if probes is None else perf_counter()
+        # Latency is sampled — one tell in eight, keyed by job id so it is
+        # stateless and seeded runs time the same tells: the two clock reads
+        # are the costliest part of the probes, and every tell is one call.
+        timed = probes is not None and not job.job_id & 7
+        started = perf_counter() if timed else 0.0
         if self.journal is not None or self._cursor_pos < len(self._cursor):
             self._record(self._tell_record(job, loss, time))
         self.scheduler.report(job, loss)
         if probes is not None:
             probes.tell_batch_results.observe(1.0)
-            probes.tell_seconds.observe(perf_counter() - started)
+            if timed:
+                probes.tell_seconds.observe(perf_counter() - started)
 
     def tell_batch(
         self, results: Iterable[tuple[Job, float]], *, time: float = 0.0
     ) -> None:
-        """Report a batch of finished jobs' losses, in order.
+        """Report finished jobs' losses in order: :meth:`tell` per pair.
 
-        Journal bytes and scheduler effects are identical to sequential
-        :meth:`tell` calls; the write-ahead property extends to the whole
-        batch (every record lands before any loss reaches the scheduler,
-        so a crash mid-batch re-applies the journalled tells on resume),
-        and the journal takes the block with a single flush.
+        Write-ahead holds per result — each record lands before its loss
+        reaches the scheduler — so a crash mid-batch re-applies exactly the
+        journalled tells on resume.
         """
-        results = list(results)
-        if not results:
-            return
-        probes = self._probes
-        started = 0.0 if probes is None else perf_counter()
-        if self._cursor_pos < len(self._cursor):
-            for job, loss in results:
-                self._record(self._tell_record(job, loss, time))
-        elif self.journal is not None:
-            self.journal.append_batch(
-                [self._tell_record(job, loss, time) for job, loss in results]
-            )
-        self.scheduler.report_batch(results)
-        if probes is not None:
-            probes.tell_batch_results.observe(float(len(results)))
-            probes.tell_seconds.observe(perf_counter() - started)
+        for job, loss in results:
+            self.tell(job, loss, time=time)
 
     def _tell_record(self, job: Job, loss: float, time: float) -> dict[str, Any]:
         return {

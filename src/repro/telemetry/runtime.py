@@ -444,7 +444,7 @@ def wal_probes() -> WalProbes | None:
 
 
 class StudyProbes:
-    """Ask/tell batch-size and tell-latency instruments for ``Study``."""
+    """Ask/tell count and tell-latency instruments for ``Study``."""
 
     __slots__ = ("ask_batch_jobs", "tell_batch_results", "tell_seconds")
 
@@ -462,13 +462,15 @@ def study_probes() -> StudyProbes | None:
         return cached
     probes = StudyProbes()
     probes.ask_batch_jobs = registry.histogram(
-        "study_ask_batch_jobs", help="Jobs returned per Study.ask_batch call."
+        "study_ask_batch_jobs", help="Jobs handed out per Study.ask call (count = jobs asked)."
     )
     probes.tell_batch_results = registry.histogram(
-        "study_tell_batch_results", help="Results ingested per Study.tell/tell_batch call."
+        "study_tell_batch_results",
+        help="Results ingested per Study.tell call (count = results told).",
     )
     probes.tell_seconds = registry.histogram(
-        "study_tell_seconds", help="Wall-clock latency of Study.tell/tell_batch in seconds."
+        "study_tell_seconds",
+        help="Wall-clock latency of Study.tell in seconds (one tell in eight is timed).",
     )
     registry._probe_cache["study"] = probes
     return probes

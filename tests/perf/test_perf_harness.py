@@ -17,7 +17,14 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PERF_DIR = REPO_ROOT / "benchmarks" / "perf"
 
-REQUIRED_TOP_KEYS = {"schema_version", "mode", "python", "calibration_ops_per_s", "benchmarks"}
+REQUIRED_TOP_KEYS = {
+    "schema_version",
+    "mode",
+    "python",
+    "calibration_ops_per_s",
+    "meta",
+    "benchmarks",
+}
 REQUIRED_ENTRY_KEYS = {"value", "unit", "higher_is_better", "normalized", "meta"}
 #: Benchmarks every report must carry — CI's gate and the docs rely on them.
 REQUIRED_BENCHMARKS = {
@@ -55,6 +62,8 @@ def _validate_report(report: dict) -> None:
     assert report["schema_version"] == 2
     assert report["mode"] in ("quick", "full")
     assert report["calibration_ops_per_s"] > 0
+    # The size trajectory travels with the speed numbers.
+    assert report["meta"]["src_lines"] > 0
     assert REQUIRED_BENCHMARKS <= set(report["benchmarks"])
     for name, entry in report["benchmarks"].items():
         assert REQUIRED_ENTRY_KEYS <= set(entry), name

@@ -1,12 +1,11 @@
 """Batched ask/tell must be byte-for-byte equivalent to the single path.
 
-``Study.ask_batch`` / ``tell_batch`` (and the ``Scheduler.next_job_batch`` /
-``report_batch`` APIs underneath) exist purely to amortise per-call overhead
-— the jobs handed out, the rng draws consumed, the journal bytes written,
-and the telemetry stream emitted must be *identical* to driving the same
-seeded scheduler one ask and one tell at a time.  These tests pin that
-contract for ASHA, synchronous SHA, and Hyperband, and for the simulated
-and threaded backends' batched consumption.
+``Study.ask_batch`` / ``tell_batch`` and ``Scheduler.next_job_batch`` /
+``report_batch`` are loops over the single-job calls — the jobs handed out,
+the rng draws consumed, the journal bytes written, and the telemetry stream
+emitted must be *identical* to driving the same seeded scheduler one ask
+and one tell at a time.  These tests pin that contract for ASHA,
+synchronous SHA, and Hyperband, and that no scheduler grows a second body.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend.simulation import SimulatedCluster
-from repro.backend.threaded import ThreadPoolBackend
-from repro.core import build_scheduler
+from repro.core import SCHEDULERS, Scheduler, build_scheduler
 from repro.experiments.toys import toy_objective, toy_space
 from repro.study import Study
 from repro.telemetry import InMemorySink, TelemetryHub
@@ -93,6 +91,20 @@ def test_scheduler_batch_matches_single(name, batch):
     assert got[2] == ref[2]  # identical final trial statuses
 
 
+@pytest.mark.parametrize("name", SCHEDULERS)
+def test_no_scheduler_overrides_the_batch_loops(name):
+    # One body each: the base-class loops over next_job/report are the only
+    # batch implementations, so a second copy of a scheduler's dispatch or
+    # report logic cannot drift from the first.
+    scheduler = build_scheduler(
+        name, toy_space(), np.random.default_rng(0), min_resource=1.0, max_resource=9.0, eta=3
+    )
+    for cls in type(scheduler).__mro__:
+        if cls not in (Scheduler, object):
+            assert "next_job_batch" not in vars(cls), cls.__name__
+            assert "report_batch" not in vars(cls), cls.__name__
+
+
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_study_batch_journal_bytes_identical(name, tmp_path):
     def run(path: Path, batched: bool) -> bytes:
@@ -145,10 +157,11 @@ def test_orphaned_jobs_drain_fifo_after_restore(tmp_path):
 
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_simulator_batched_fill_matches_recorded_run(name):
-    # With a hub attached the simulator asks one job per worker (dispatch
-    # events must interleave); without one it fills all free workers per
-    # ask_batch.  Both must produce the same measurements, completions, and
-    # dispatch count for the same seeded run.
+    # The simulator asks once per free worker whether or not a hub records
+    # the run; an observed run and a bare one must produce the same
+    # measurements, completions, and dispatch count for the same seeds —
+    # including across the rung barriers of SHA and Hyperband, where the
+    # hub-only ``worker_idle`` emission sits.
     def run(with_hub: bool):
         hub = TelemetryHub([InMemorySink()]) if with_hub else None
         cluster = SimulatedCluster(4, seed=11, straggler_std=0.2)
@@ -159,40 +172,7 @@ def test_simulator_batched_fill_matches_recorded_run(name):
             telemetry=hub,
         )
 
-    recorded, batched = run(True), run(False)
-    assert batched.measurements == recorded.measurements
-    assert batched.completions == recorded.completions
-    assert batched.jobs_dispatched == recorded.jobs_dispatched
-
-
-def test_threaded_prefetch_matches_single_ask():
-    # One worker, result-independent scheduler (random search): prefetching
-    # must hand out the same jobs and losses as ask-per-worker.  Schedulers
-    # whose decisions depend on results (ASHA promotions) legitimately see
-    # staler state through the prefetch queue — that trade is documented on
-    # ``ask_batch_size`` — so the identity contract is pinned where it holds.
-    def run(batch_size: int):
-        scheduler = build_scheduler(
-            "random",
-            toy_space(),
-            np.random.default_rng(7),
-            min_resource=1.0,
-            max_resource=9.0,
-            eta=3,
-            kwargs={"max_trials": 40},
-        )
-        backend = ThreadPoolBackend(1, ask_batch_size=batch_size)
-        result = backend.run(
-            scheduler,
-            toy_objective(max_resource=9.0),
-            time_limit=30.0,
-            max_measurements=40,
-        )
-        return [(m.trial_id, m.resource, m.loss) for m in result.measurements]
-
-    assert run(4) == run(1)
-
-
-def test_threaded_rejects_bad_batch_size():
-    with pytest.raises(ValueError):
-        ThreadPoolBackend(1, ask_batch_size=0)
+    recorded, bare = run(True), run(False)
+    assert bare.measurements == recorded.measurements
+    assert bare.completions == recorded.completions
+    assert bare.jobs_dispatched == recorded.jobs_dispatched

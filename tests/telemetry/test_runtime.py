@@ -342,6 +342,19 @@ def test_probes_populated_by_mux_run(tmp_path, registry):
     assert render_prometheus(registry) == text
 
 
+def test_hub_attached_solo_run_counts_every_ask(registry):
+    # One sample per job handed out, on the path every backend uses (one
+    # ask per freed worker): the exported count is the number of jobs asked.
+    study = Study(make_scheduler(0))
+    cluster = SimulatedCluster(4, seed=1000, straggler_std=0.3)
+    result = cluster.run(study, OBJECTIVE, time_limit=60.0, telemetry=TelemetryHub())
+    histograms = registry.snapshot()["histograms"]
+    assert result.jobs_dispatched > 0
+    assert histograms["study_ask_batch_jobs"]["count"] == result.jobs_dispatched
+    assert histograms["study_ask_batch_jobs"]["sum"] == float(result.jobs_dispatched)
+    assert histograms["study_tell_batch_results"]["count"] == len(result.measurements)
+
+
 def test_mux_study_label_cardinality_cap(registry):
     class FakeStudy:
         def is_done(self):
