@@ -28,7 +28,7 @@ import itertools
 from bisect import insort
 from typing import Any
 
-from ..telemetry.runtime import instrument_queue
+from ..telemetry import runtime
 
 __all__ = ["EventQueue", "HeapEventQueue", "SimEvent"]
 
@@ -167,7 +167,8 @@ class EventQueue:
         self._next_resize = 64
         # None unless a runtime registry is installed (see
         # repro.telemetry.runtime): hot paths pay one attr load + branch.
-        self._probes = instrument_queue(self)
+        self._probes = runtime.probes("queue")
+        runtime.watch(self, runtime.collect_queue)
 
     # -- internals ---------------------------------------------------------
 

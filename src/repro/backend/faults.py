@@ -195,6 +195,7 @@ def route_failure(
     result: BackendResult,
     hub: Any,
     faults: FaultManager | None,
+    probes: Any,
     job: Job,
     worker_id: int | None,
     *,
@@ -211,7 +212,9 @@ def route_failure(
     :class:`FailureRecord`, the study's fault hook, and the
     ``job_failed``/``job_timeout``, ``job_retried`` and ``trial_abandoned``
     events (``extra`` carries the backend's own accounting keys onto the
-    failure event).  Without a fault manager the attempt is forfeited and
+    failure event) and ``probes`` is the backend's runtime bundle (``None``
+    when probing is off), whose ``retries`` counter advances on every
+    granted retry.  Without a fault manager the attempt is forfeited and
     ``None`` is returned; otherwise the manager's decision is, and when it
     says ``retry`` the caller re-dispatches ``job`` as attempt
     ``decision.failures + 1`` at ``time + decision.delay`` — by whatever
@@ -258,6 +261,8 @@ def route_failure(
         return None
     if decision.retry:
         result.jobs_retried += 1
+        if probes is not None:
+            probes.retries.inc()
         study.on_job_requeued(job)
         if hub:
             hub.emit(

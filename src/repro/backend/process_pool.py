@@ -46,7 +46,7 @@ from typing import Any
 
 from ..core.types import Job
 from ..objectives.base import Objective
-from ..telemetry.runtime import backend_probes
+from ..telemetry import runtime
 from .checkpoint import CheckpointStore
 from .simulation import SimulatedCluster, _InlineExecution
 
@@ -107,7 +107,7 @@ class _ProcessPoolExecution:
             int, tuple[Future[tuple[Any, float]] | None, dict[str, Any] | None, tuple[float, Any]]
         ] = {}
         # None unless a runtime registry is installed (repro.telemetry.runtime).
-        self._probes = backend_probes("processes")
+        self._probes = runtime.probes("backend", backend="processes")
         global _PROC_OBJECTIVE
         _PROC_OBJECTIVE = objective
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(

@@ -49,7 +49,7 @@ from ..core.scheduler import Scheduler
 from ..core.types import Job
 from ..objectives.base import Objective
 from ..study import Study
-from ..telemetry import EventKind, TelemetryHub
+from ..telemetry import EventKind, TelemetryHub, runtime
 from .checkpoint import CheckpointStore
 from .events import EventQueue
 from .faults import FaultManager, RetryPolicy, route_failure
@@ -208,13 +208,16 @@ class SimRun:
         #: driver discards its stale queue entries lazily.
         self.done = False
         self.budget_exhausted = False
-        #: Multiplexer probe bundle (repro.telemetry.runtime.MuxProbes) —
-        #: installed by StudyMultiplexer.run() when a runtime registry is
-        #: live, None otherwise.  ``last_dispatch_tick`` is the shared-clock
-        #: tick of this run's most recent dispatch; the starvation-age
-        #: gauges are computed from it at scrape time.
+        #: Multiplexer probe bundle (``runtime.probes("mux")``) and its tick
+        #: box — installed by StudyMultiplexer.run() when a runtime registry
+        #: is live, None otherwise.  ``last_dispatch_tick`` is the
+        #: shared-clock tick of this run's most recent dispatch; the
+        #: starvation-age gauges are computed from it at scrape time.
         self.obs = None
+        self.tick_box: list[int] | None = None
         self.last_dispatch_tick = 0
+        # None unless a runtime registry is installed (repro.telemetry.runtime).
+        self.retry_probes = runtime.probes("retries", backend="simulation")
 
     # --------------------------------------------------------- event wiring
 
@@ -339,7 +342,7 @@ class SimRun:
             dispatched = result.jobs_dispatched - dispatched_before
             if dispatched:
                 obs.dispatches.inc(dispatched)
-                self.last_dispatch_tick = obs.tick_box[0]
+                self.last_dispatch_tick = self.tick_box[0]
             if capped:
                 obs.throttles.inc()
         return capped
@@ -393,6 +396,7 @@ class SimRun:
             self.result,
             self.hub,
             self.faults,
+            self.retry_probes,
             job,
             worker,
             reason=reason,

@@ -32,8 +32,7 @@ from ..core.scheduler import Scheduler
 from ..core.types import Job
 from ..objectives.base import Objective
 from ..study import Study
-from ..telemetry import EventKind, TelemetryHub
-from ..telemetry.runtime import backend_probes
+from ..telemetry import EventKind, TelemetryHub, runtime
 from .checkpoint import CheckpointStore
 from .faults import FaultManager, RetryPolicy, route_failure
 from .trial_runner import BackendResult, bracket_counter, record_report, wire_telemetry
@@ -216,7 +215,7 @@ class ThreadPoolBackend:
             raise ValueError("no tasks given")
         # None unless a runtime registry is installed (repro.telemetry.runtime);
         # all probe updates below happen under the backend lock.
-        probes = backend_probes("threads")
+        probes = runtime.probes("backend", backend="threads")
         states = [
             _TaskState(scheduler, objective, max_resource, retry_policy)
             for scheduler, objective in tasks
@@ -253,6 +252,7 @@ class ThreadPoolBackend:
                 ts.result,
                 ts.hub,
                 ts.faults,
+                probes,
                 job,
                 worker_id,
                 reason=reason,
@@ -263,8 +263,6 @@ class ThreadPoolBackend:
             )
             if decision is not None and decision.retry:
                 ts.retry_queue.append((t + decision.delay, job, decision.failures + 1))
-                if probes is not None:
-                    probes.retries.inc()
 
         def take_job(ts: _TaskState, now: float) -> tuple[Job, int] | None:
             """One dispatchable job from ``ts``, or None (caller holds the lock)."""

@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import IO, Any
 
 from ..canonical import encode_canonical
-from ..telemetry.runtime import journal_probes, runtime_registry, wal_probes
+from ..telemetry import runtime
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -147,7 +147,7 @@ class Journal:
         self.path = os.fspath(path)
         self._closed = False
         # None unless a runtime registry is installed (repro.telemetry.runtime).
-        self._probes = journal_probes()
+        self._probes = runtime.probes("journal", target="journal")
         # Set by a JournalWriter carrying a write-ahead log: every committed
         # byte is already fsynced in the WAL, so this file is a replayable
         # cache and finalize can skip its own (expensive) per-file fsync.
@@ -354,7 +354,7 @@ class JournalWriter:
         self._journals: list[Journal] = []
         #: Commit sweeps performed (observability for tests and benchmarks).
         self.commits = 0
-        self._probes = wal_probes()
+        self._probes = runtime.probes("wal", target="wal")
         self.wal_path = os.fspath(wal_path) if wal_path is not None else None
         self._wal: IO[bytes] | None = None
         if self.wal_path is not None:
@@ -379,11 +379,11 @@ class JournalWriter:
         two leaves stale files that :func:`read_wal` rebuilds.
         """
         probes = self._probes
-        if probes is None and runtime_registry() is not None:
+        if probes is None:
             # The writer outlives registry installs that happen after its
             # construction (the multiplexer builds it in __init__); commits
             # are cold, so the late re-resolve costs nothing measurable.
-            probes = self._probes = wal_probes()
+            probes = self._probes = runtime.probes("wal", target="wal")
         if self._wal is None:
             for journal in self._journals:
                 journal.commit()
@@ -404,10 +404,10 @@ class JournalWriter:
             self._wal.write(blob)
             self._wal.flush()
             started = 0.0 if probes is None else perf_counter()
-            try:
-                os.fsync(self._wal.fileno())
-            except OSError:
-                pass
+            # The WAL is a real file this writer opened: a failed fsync (EIO,
+            # ENOSPC) means the window is not durable, so it propagates — the
+            # journal files are not touched and no fsync is counted.
+            os.fsync(self._wal.fileno())
             if probes is not None:
                 probes.fsyncs.inc()
                 probes.fsync_seconds.observe(perf_counter() - started)

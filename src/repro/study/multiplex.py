@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
-from ..telemetry.runtime import mux_probes
+from ..telemetry import runtime
 from .journal import JournalWriter
 
 if TYPE_CHECKING:  # imported lazily at runtime: backend.simulation imports study
@@ -147,6 +147,9 @@ class StudyMultiplexer:
         self._clusters: set[int] = set()
         self._queue = None
         self._ran = False
+        #: Shared-clock tick count, boxed so each ``SimRun`` can stamp its
+        #: ``last_dispatch_tick`` from it (the starvation-age gauges).
+        self._tick_box = [0]
 
     def __len__(self) -> int:
         return len(self._runs)
@@ -222,44 +225,27 @@ class StudyMultiplexer:
         out = MultiplexResult()
         writer = self.journal_writer
         interval = self.commit_interval
-        ticks = 0
         pending = 0
-
-        probes = mux_probes(self)
+        tick_box = self._tick_box
         scraper = self.scraper
-        if probes is not None or scraper is not None:
-            # Instrumented tick: advance the shared-clock tick box (the
-            # basis of the starvation-age gauges), count, and let the
-            # scraper sample on its cadence.  Built only when observability
-            # is on, so the disabled loop body is byte-for-byte the old one.
+        probes = runtime.probes("mux")
+        if probes is not None:
+            runtime.watch(self, runtime.collect_mux)
+            for run in self._runs:
+                run.obs = probes
+                run.tick_box = tick_box
+
+        def on_tick() -> None:
+            nonlocal pending
+            tick_box[0] += 1
             if probes is not None:
-                for run in self._runs:
-                    run.obs = probes
-            tick_box = probes.tick_box if probes is not None else [0]
-            tick_counter = probes.ticks if probes is not None else None
-
-            def on_tick() -> None:
-                nonlocal ticks, pending
-                ticks += 1
-                tick_box[0] = ticks
-                if tick_counter is not None:
-                    tick_counter.inc()
-                pending += 1
-                if pending >= interval:
-                    pending = 0
-                    writer.commit()
-                if scraper is not None:
-                    scraper.on_tick()
-
-        else:
-
-            def on_tick() -> None:
-                nonlocal ticks, pending
-                ticks += 1
-                pending += 1
-                if pending >= interval:
-                    pending = 0
-                    writer.commit()
+                probes.ticks.inc()
+            pending += 1
+            if pending >= interval:
+                pending = 0
+                writer.commit()
+            if scraper is not None:
+                scraper.on_tick()
 
         try:
             drive_runs(self._queue, self._runs, on_tick=on_tick)
@@ -276,6 +262,6 @@ class StudyMultiplexer:
             if scraper is not None:
                 scraper.close()
         out.results = [run.finish() for run in self._runs]
-        out.ticks = ticks
+        out.ticks = tick_box[0]
         out.journal_commits = writer.commits
         return out

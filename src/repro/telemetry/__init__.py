@@ -28,6 +28,7 @@ See ``docs/telemetry.md`` for the event schema and metric definitions.
 """
 
 from .events import EventKind, TelemetryEvent
+from .exposition import render_prometheus, validate_exposition
 from .hub import NULL_HUB, NullHub, TelemetryHub
 from .metrics import (
     Counter,
@@ -38,15 +39,10 @@ from .metrics import (
     MetricsReport,
 )
 from .runtime import (
-    NULL_PROBE,
-    NullProbe,
-    RuntimeRegistry,
     RuntimeScraper,
     install_runtime_registry,
-    render_prometheus,
     runtime_registry,
     uninstall_runtime_registry,
-    validate_exposition,
 )
 from .sinks import InMemorySink, JSONLSink, LiveSummarySink, TelemetrySink, render_summary
 from .tracing import (
@@ -73,10 +69,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsReport",
     "NULL_HUB",
-    "NULL_PROBE",
     "NullHub",
-    "NullProbe",
-    "RuntimeRegistry",
     "RuntimeScraper",
     "install_runtime_registry",
     "render_prometheus",

@@ -1,7 +1,11 @@
 """Metrics registry + the collector that derives metrics from events.
 
 The registry half is deliberately boring — named counters, gauges and
-histograms, in the Prometheus mould but in-process and allocation-light.
+histograms, in the Prometheus mould (optional labels, per-family help,
+scrape-time collectors) but in-process and allocation-light.  One class
+serves both scopes: the per-run instance a :class:`MetricsCollector` owns
+and the process-wide one behind
+:func:`repro.telemetry.runtime.install_runtime_registry`.
 The interesting half is :class:`MetricsCollector`, a telemetry sink that
 folds the event stream into the scheduler-level quantities the paper's
 systems claims are stated in:
@@ -21,14 +25,15 @@ systems claims are stated in:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .events import EventKind, TelemetryEvent
+from .exposition import LABEL_NAME_RE, series_key
 
 __all__ = [
     "Counter",
-    "DEFAULT_SERIES_BOUND",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -36,8 +41,11 @@ __all__ = [
     "MetricsReport",
 ]
 
-#: Default cap on a gauge's timestamped history (see :class:`Gauge`).
-DEFAULT_SERIES_BOUND = 4096
+#: Registry names: Prometheus metric names plus ``.``, the per-run
+#: collector's namespace separator (``events.report``).  A dotted name is
+#: not a legal exposition family; ``validate_exposition`` reports it if a
+#: registry holding one is ever rendered.
+_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:.]*$")
 
 
 class Counter:
@@ -56,34 +64,16 @@ class Counter:
 
 
 class Gauge:
-    """Last-write-wins value, with an optional timestamped history.
+    """Last-write-wins value."""
 
-    The history is a bounded ring: at most ``series_bound`` recent
-    ``(time, value)`` pairs are retained (oldest dropped first), so
-    long-lived processes — a multiplexer scraping gauges every few ticks
-    for hours — hold constant memory.  ``series_bound=None`` disables the
-    cap for callers that genuinely want the full history.
-    """
+    __slots__ = ("name", "value")
 
-    __slots__ = ("name", "value", "series", "series_bound")
-
-    def __init__(self, name: str, *, series_bound: int | None = DEFAULT_SERIES_BOUND):
-        if series_bound is not None and series_bound < 1:
-            raise ValueError(f"gauge {name!r} series_bound must be >= 1, got {series_bound}")
+    def __init__(self, name: str):
         self.name = name
         self.value = 0.0
-        self.series_bound = series_bound
-        #: (time, value) pairs, appended by :meth:`set` when a time is given.
-        self.series: list[tuple[float, float]] = []
 
-    def set(self, value: float, *, time: float | None = None) -> None:
+    def set(self, value: float) -> None:
         self.value = value
-        if time is not None:
-            series = self.series
-            series.append((time, value))
-            bound = self.series_bound
-            if bound is not None and len(series) > bound:
-                del series[: len(series) - bound]
 
 
 class Histogram:
@@ -140,45 +130,108 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create store of named metrics (one namespace per run)."""
+    """Get-or-create store of named, optionally labelled metrics.
 
-    def __init__(self, *, gauge_series_bound: int | None = DEFAULT_SERIES_BOUND) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._gauge_series_bound = gauge_series_bound
+    ``counter``/``gauge``/``histogram`` take optional ``help`` and
+    ``labels``; both are read when a series is first created.  Each base
+    name is an exposition *family* with a type, help text and the union of
+    observed label names.  Collectors registered via :meth:`add_collector`
+    run at snapshot time (so occupancy-style gauges cost nothing per
+    operation); a collector that returns ``False`` is pruned — the idiom
+    for weakref'd subjects that have been garbage-collected.
+    """
 
-    def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter(name))
+    def __init__(self) -> None:
+        #: series key -> instrument, one dict per kind.
+        self.counters: dict[str, Counter] = {}
+        self.gauges: dict[str, Gauge] = {}
+        self.histograms: dict[str, Histogram] = {}
+        #: base name -> {"type", "help", "labels": sorted label names}
+        self._families: dict[str, dict[str, Any]] = {}
+        self._collectors: list[Callable[[], Any]] = []
+        #: Probe bundles resolved by :func:`repro.telemetry.runtime.probes`:
+        #: resolving does label mangling and family registration, which a
+        #: 10k-study multiplexer must not repeat per study.
+        self._probe_cache: dict[tuple[Any, ...], Any] = {}
 
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name, series_bound=self._gauge_series_bound)
-        return gauge
+    def _register_family(
+        self, kind: str, name: str, help: str | None, labels: dict[str, Any] | None
+    ) -> None:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
+        label_names = sorted(labels) if labels else []
+        for label in label_names:
+            if not LABEL_NAME_RE.match(label):
+                raise ValueError(f"invalid label name {label!r} on metric {name!r}")
+        family = self._families.get(name)
+        if family is None:
+            self._families[name] = {"type": kind, "help": help or "", "labels": label_names}
+            return
+        if family["type"] != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {family['type']}, not {kind}"
+            )
+        if help and not family["help"]:
+            family["help"] = help
+        family["labels"] = sorted(set(family["labels"]).union(label_names))
 
-    def histogram(self, name: str) -> Histogram:
-        return self._histograms.setdefault(name, Histogram(name))
+    def _series(
+        self,
+        store: dict[str, Any],
+        factory: Callable[[str], Any],
+        kind: str,
+        name: str,
+        help: str | None,
+        labels: dict[str, Any] | None,
+    ) -> Any:
+        key = series_key(name, labels)
+        found = store.get(key)
+        if found is None:
+            self._register_family(kind, name, help, labels)
+            found = store[key] = factory(key)
+        return found
 
-    @property
-    def counters(self) -> dict[str, Counter]:
-        return self._counters
+    def counter(
+        self, name: str, *, help: str | None = None, labels: dict[str, Any] | None = None
+    ) -> Counter:
+        return self._series(self.counters, Counter, "counter", name, help, labels)
 
-    @property
-    def gauges(self) -> dict[str, Gauge]:
-        return self._gauges
+    def gauge(
+        self, name: str, *, help: str | None = None, labels: dict[str, Any] | None = None
+    ) -> Gauge:
+        return self._series(self.gauges, Gauge, "gauge", name, help, labels)
 
-    @property
-    def histograms(self) -> dict[str, Histogram]:
-        return self._histograms
+    def histogram(
+        self, name: str, *, help: str | None = None, labels: dict[str, Any] | None = None
+    ) -> Histogram:
+        return self._series(self.histograms, Histogram, "histogram", name, help, labels)
+
+    def add_collector(self, collector: Callable[[], Any]) -> None:
+        """Register a scrape-time callback; return ``False`` to be pruned."""
+        self._collectors.append(collector)
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-dict view of every metric (for serialisation / display)."""
+        """Plain-dict view of every metric (for serialisation / display).
+
+        Runs the collectors first, pruning the ones that report themselves
+        dead.
+        """
+        if self._collectors:
+            self._collectors = [c for c in self._collectors if c() is not False]
         return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "histograms": {name: h.summary() for name, h in sorted(self._histograms.items())},
+            "counters": {name: c.value for name, c in sorted(self.counters.items())},
+            "gauges": {name: g.value for name, g in sorted(self.gauges.items())},
+            "histograms": {name: h.summary() for name, h in sorted(self.histograms.items())},
+            "families": {
+                name: {"type": fam["type"], "help": fam["help"], "labels": list(fam["labels"])}
+                for name, fam in sorted(self._families.items())
+            },
         }
+
+
+def _counter_view(name: str, doc: str) -> property:
+    """Read-only :class:`MetricsReport` attribute backed by ``counters[name]``."""
+    return property(lambda report: report.counters.get(name, 0.0), doc=doc)
 
 
 @dataclass
@@ -199,15 +252,19 @@ class MetricsReport:
     failure_rate: float = 0.0
     elapsed: float = 0.0
     num_workers: int = 0
-    #: Re-dispatches granted by a :class:`~repro.backend.faults.RetryPolicy`.
-    jobs_retried: float = 0.0
-    #: Jobs killed for exceeding their deadline.
-    jobs_timed_out: float = 0.0
-    #: Trials quarantined after exhausting their retry budget.
-    trials_abandoned: float = 0.0
-    #: Backend time spent on jobs that ultimately failed (dropped, crashed,
-    #: churned or timed out) — the worker-time the failures wasted.
-    time_lost_to_failures: float = 0.0
+
+    jobs_retried = _counter_view(
+        "jobs_retried", "Re-dispatches granted by a :class:`~repro.backend.faults.RetryPolicy`."
+    )
+    jobs_timed_out = _counter_view("jobs_timed_out", "Jobs killed for exceeding their deadline.")
+    trials_abandoned = _counter_view(
+        "trials_abandoned", "Trials quarantined after exhausting their retry budget."
+    )
+    time_lost_to_failures = _counter_view(
+        "time_lost_to_failures",
+        "Backend time spent on jobs that ultimately failed (dropped, crashed, churned or "
+        "timed out) — the worker-time the failures wasted.",
+    )
 
     def mean_utilization(self) -> float:
         """Mean per-worker utilisation == the scalar ``BackendResult.utilization``."""
@@ -279,6 +336,11 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
+        self._events_total = self.registry.counter("events_total")
+        # Per-kind counters (``events.<kind>`` plus its ``_COUNTED_AS`` name),
+        # created on the kind's first event so the report lists only kinds
+        # that occurred.
+        self._kind_counters: dict[EventKind, list[Counter]] = {}
         # Trials seen per rung (occupancy counts distinct trials, so a
         # re-reported trial does not inflate its rung).
         self._rung_members: dict[int, set[int]] = {}
@@ -288,6 +350,7 @@ class MetricsCollector:
         # Queue wait + utilisation: per-worker bookkeeping.
         self._worker_free_at: dict[int, float] = {}
         self._worker_busy: dict[int, float] = {}
+        self._busy_total = 0.0
         self._utilization_series: list[tuple[float, float]] = []
         self._elapsed: float | None = None
         self._num_workers: int | None = None
@@ -295,10 +358,17 @@ class MetricsCollector:
     # ---------------------------------------------------------------- sink
 
     def write(self, event: TelemetryEvent) -> None:
-        reg = self.registry
-        reg.counter("events_total").inc()
-        reg.counter(f"events.{event.kind.value}").inc()
-        handler = self._HANDLERS.get(event.kind)
+        self._events_total.inc()
+        kind = event.kind
+        counters = self._kind_counters.get(kind)
+        if counters is None:
+            names = (f"events.{kind.value}", self._COUNTED_AS.get(kind))
+            counters = self._kind_counters[kind] = [
+                self.registry.counter(name) for name in names if name
+            ]
+        for counter in counters:
+            counter.inc()
+        handler = self._HANDLERS.get(kind)
         if handler is not None:
             handler(self, event)
 
@@ -311,7 +381,6 @@ class MetricsCollector:
     # ------------------------------------------------------------ handlers
 
     def _on_job_started(self, event: TelemetryEvent) -> None:
-        self.registry.counter("jobs_started").inc()
         worker = event.worker_id
         if worker is not None:
             freed = self._worker_free_at.pop(worker, None)
@@ -331,25 +400,9 @@ class MetricsCollector:
             if event.trial_id not in members:
                 members.add(event.trial_id)
                 occupancy = len(members)
-                self.registry.gauge(f"rung_occupancy.{event.rung}").set(
-                    occupancy, time=event.time
-                )
+                self.registry.gauge(f"rung_occupancy.{event.rung}").set(occupancy)
                 self._rung_series.append((event.time, event.rung, occupancy))
         self._on_job_end(event)
-
-    def _on_job_failed(self, event: TelemetryEvent) -> None:
-        self.registry.counter("jobs_failed").inc()
-        self._on_job_end(event)
-
-    def _on_job_timeout(self, event: TelemetryEvent) -> None:
-        self.registry.counter("jobs_timed_out").inc()
-        self._on_job_end(event)
-
-    def _on_job_retried(self, event: TelemetryEvent) -> None:
-        self.registry.counter("jobs_retried").inc()
-
-    def _on_trial_abandoned(self, event: TelemetryEvent) -> None:
-        self.registry.counter("trials_abandoned").inc()
 
     def _on_job_end(self, event: TelemetryEvent) -> None:
         lost = event.data.get("lost")
@@ -370,46 +423,45 @@ class MetricsCollector:
             self._credit_busy(worker, float(correction), event.time)
 
     def _on_promotion(self, event: TelemetryEvent) -> None:
-        self.registry.counter("promotions").inc()
         if event.trial_id is not None:
             last = self._last_report.get(event.trial_id)
             if last is not None:
                 latency = max(event.time - last, 0.0)
                 self.registry.histogram("promotion_latency").observe(latency)
 
-    def _on_rung_completed(self, event: TelemetryEvent) -> None:
-        self.registry.counter("rung_completions").inc()
-
     def _on_trial_started(self, event: TelemetryEvent) -> None:
-        self.registry.counter("trials_started").inc()
         origin = event.data.get("origin")
         if origin is not None:
             self.registry.counter(f"proposals.{origin}").inc()
 
-    def _on_checkpoint_restored(self, event: TelemetryEvent) -> None:
-        self.registry.counter("checkpoint_restores").inc()
+    #: Event kinds whose count the report also carries under a domain name.
+    _COUNTED_AS = {
+        EventKind.JOB_STARTED: "jobs_started",
+        EventKind.JOB_FAILED: "jobs_failed",
+        EventKind.JOB_TIMEOUT: "jobs_timed_out",
+        EventKind.JOB_RETRIED: "jobs_retried",
+        EventKind.TRIAL_ABANDONED: "trials_abandoned",
+        EventKind.PROMOTION: "promotions",
+        EventKind.RUNG_COMPLETED: "rung_completions",
+        EventKind.TRIAL_STARTED: "trials_started",
+        EventKind.CHECKPOINT_RESTORED: "checkpoint_restores",
+        EventKind.WORKER_IDLE: "worker_idle_polls",
+    }
 
-    def _on_worker_idle(self, event: TelemetryEvent) -> None:
-        self.registry.counter("worker_idle_polls").inc()
-
+    #: What each kind feeds beyond its counts.
     _HANDLERS = {
         EventKind.JOB_STARTED: _on_job_started,
         EventKind.REPORT: _on_report,
-        EventKind.JOB_FAILED: _on_job_failed,
-        EventKind.JOB_TIMEOUT: _on_job_timeout,
-        EventKind.JOB_RETRIED: _on_job_retried,
-        EventKind.TRIAL_ABANDONED: _on_trial_abandoned,
+        EventKind.JOB_FAILED: _on_job_end,
+        EventKind.JOB_TIMEOUT: _on_job_end,
         EventKind.PROMOTION: _on_promotion,
-        EventKind.RUNG_COMPLETED: _on_rung_completed,
         EventKind.TRIAL_STARTED: _on_trial_started,
-        EventKind.CHECKPOINT_RESTORED: _on_checkpoint_restored,
-        EventKind.WORKER_IDLE: _on_worker_idle,
     }
 
     def _credit_busy(self, worker: int, amount: float, time: float) -> None:
         self._worker_busy[worker] = self._worker_busy.get(worker, 0.0) + amount
-        total = sum(self._worker_busy.values())
-        self._utilization_series.append((time, total))
+        self._busy_total += amount
+        self._utilization_series.append((time, self._busy_total))
 
     # ------------------------------------------------------------- results
 
@@ -457,8 +509,4 @@ class MetricsCollector:
             failure_rate=failed / started if started else 0.0,
             elapsed=elapsed,
             num_workers=num_workers,
-            jobs_retried=snap["counters"].get("jobs_retried", 0.0),
-            jobs_timed_out=snap["counters"].get("jobs_timed_out", 0.0),
-            trials_abandoned=snap["counters"].get("trials_abandoned", 0.0),
-            time_lost_to_failures=snap["counters"].get("time_lost_to_failures", 0.0),
         )

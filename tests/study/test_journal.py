@@ -322,6 +322,39 @@ def test_wal_defers_tail_fsync_to_group_commit(tmp_path, monkeypatch):
         assert records[1:] == RECORDS[:1]
 
 
+def test_wal_fsync_failure_is_not_a_durable_commit(tmp_path, monkeypatch):
+    """A WAL fsync that raises fails the commit: no journal write, no count."""
+    import errno
+
+    from repro.telemetry.runtime import install_runtime_registry, uninstall_runtime_registry
+
+    registry = install_runtime_registry()
+    try:
+        writer = JournalWriter(wal_path=tmp_path / "journals.wal")
+        journal = Journal(tmp_path / "j.jsonl", writer=writer)
+        journal.append(RECORDS[0])
+        writer.commit()  # a healthy window first
+        committed = open(journal.path, "rb").read()
+        counted = registry.snapshot()["counters"]['journal_fsync_total{target="wal"}']
+        assert committed and counted == 1
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        journal.append(RECORDS[1])
+        with pytest.raises(OSError) as raised:
+            writer.commit()
+        assert raised.value.errno == errno.EIO
+        assert open(journal.path, "rb").read() == committed
+        snap = registry.snapshot()
+        assert snap["counters"]['journal_fsync_total{target="wal"}'] == counted
+        assert snap["counters"]["wal_commits_total"] == 1
+        assert writer.commits == 1
+    finally:
+        uninstall_runtime_registry()
+
+
 def test_wal_corruption_error_names_byte_offset_and_frame_index(tmp_path):
     """A corrupt frame is located precisely: byte offset AND frame index.
 

@@ -33,48 +33,6 @@ class TestGauge:
         g.set(1.0)
         g.set(2.0)
         assert g.value == 2.0
-        assert g.series == []
-
-    def test_timestamped_history(self):
-        g = Gauge("x")
-        g.set(1.0, time=0.5)
-        g.set(3.0, time=1.5)
-        assert g.series == [(0.5, 1.0), (1.5, 3.0)]
-
-    def test_series_is_bounded_ring(self):
-        """A long-running service must not grow gauge history without bound."""
-        g = Gauge("x", series_bound=3)
-        for i in range(10):
-            g.set(float(i), time=float(i))
-        # Only the most recent `series_bound` points survive, in order.
-        assert g.series == [(7.0, 7.0), (8.0, 8.0), (9.0, 9.0)]
-        assert g.value == 9.0
-
-    def test_series_bound_default_caps_growth(self):
-        from repro.telemetry.metrics import DEFAULT_SERIES_BOUND
-
-        g = Gauge("x")
-        for i in range(DEFAULT_SERIES_BOUND + 100):
-            g.set(float(i), time=float(i))
-        assert len(g.series) == DEFAULT_SERIES_BOUND
-        assert g.series[-1] == (float(DEFAULT_SERIES_BOUND + 99),) * 2
-
-    def test_series_bound_none_is_unbounded(self):
-        g = Gauge("x", series_bound=None)
-        for i in range(5000):
-            g.set(float(i), time=float(i))
-        assert len(g.series) == 5000
-
-    def test_series_bound_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="series_bound"):
-            Gauge("x", series_bound=0)
-
-    def test_registry_propagates_series_bound(self):
-        registry = MetricsRegistry(gauge_series_bound=2)
-        g = registry.gauge("x")
-        for i in range(5):
-            g.set(float(i), time=float(i))
-        assert g.series == [(3.0, 3.0), (4.0, 4.0)]
 
 
 class TestHistogram:

@@ -27,27 +27,20 @@ from repro.backend.simulation import SimulatedCluster
 from repro.core import build_scheduler
 from repro.experiments.toys import toy_objective, toy_space
 from repro.study import Journal, Study, StudyMultiplexer
-from repro.telemetry import JSONLSink, TelemetryHub
+from repro.telemetry import JSONLSink, MetricsRegistry, TelemetryHub
+from repro.telemetry.exposition import render_prometheus, series_key, validate_exposition
 from repro.telemetry.runtime import (
+    CATALOGUE,
     MUX_STUDY_LABEL_CAP,
-    NULL_PROBE,
-    NullProbe,
-    RuntimeRegistry,
     RuntimeScraper,
-    _series_key,
-    backend_probes,
+    collect_mux,
     install_runtime_registry,
-    instrument_queue,
-    journal_probes,
     main,
-    mux_probes,
-    render_prometheus,
+    probes,
     render_report,
     runtime_registry,
-    study_probes,
     uninstall_runtime_registry,
-    validate_exposition,
-    wal_probes,
+    watch,
 )
 
 OBJECTIVE = toy_objective()
@@ -101,28 +94,25 @@ def run_mux(tmp_path, n: int = 3, *, scraper=None, wal: bool = False, **mux_kwar
 
 
 # ---------------------------------------------------------------------------
-# NullProbe and the off-by-default contract
+# The off-by-default contract and the probe catalogue
 # ---------------------------------------------------------------------------
 
-
-def test_null_probe_is_falsy_noop():
-    assert not NULL_PROBE
-    assert isinstance(NULL_PROBE, NullProbe)
-    NULL_PROBE.inc()
-    NULL_PROBE.inc(5.0)
-    NULL_PROBE.set(3.0)
-    NULL_PROBE.set(3.0, time=1.0)
-    NULL_PROBE.observe(0.25)  # all no-ops, nothing to assert beyond "no raise"
+#: Labels each labelled bundle is resolved with somewhere in ``src/``.
+BUNDLE_LABELS = {
+    "journal": {"target": "journal"},
+    "wal": {"target": "wal"},
+    "backend": {"backend": "threads"},
+    "retries": {"backend": "simulation"},
+}
 
 
 def test_probe_accessors_return_none_without_registry():
     assert runtime_registry() is None
-    assert instrument_queue(EventQueue()) is None
-    assert journal_probes() is None
-    assert wal_probes() is None
-    assert study_probes() is None
-    assert backend_probes("threads") is None
-    assert mux_probes(object()) is None
+    for bundle in CATALOGUE:
+        assert probes(bundle, **BUNDLE_LABELS.get(bundle, {})) is None
+    watch(StudyMultiplexer(), collect_mux)  # attaching a collector is a no-op too
+    with pytest.raises(KeyError):
+        probes("no_such_bundle")
 
 
 def test_instrumented_classes_hold_no_probes_without_registry(tmp_path):
@@ -132,12 +122,67 @@ def test_instrumented_classes_hold_no_probes_without_registry(tmp_path):
     assert journal._probes is None
     study = Study(make_scheduler(0))
     assert study._probes is None
+    mux = StudyMultiplexer()
+    assert mux.journal_writer._probes is None
+    mux.add(study, OBJECTIVE, cluster=SimulatedCluster(2, seed=0), time_limit=5.0)
+    assert mux._runs[0].retry_probes is None
+    mux.run()
+    assert mux._runs[0].obs is None
+
+
+def test_every_bundle_resolves_its_catalogue_rows(registry):
+    for bundle, rows in CATALOGUE.items():
+        labels = BUNDLE_LABELS.get(bundle, {})
+        resolved = probes(bundle, **labels)
+        unset = [slot for slot in resolved.__slots__ if not hasattr(resolved, slot)]
+        assert sorted(set(resolved.__slots__) - set(unset)) == sorted(row[0] for row in rows)
+        for attribute, kind, family, help, labelled in rows:
+            key = series_key(family, labels if labelled else None)
+            store = getattr(registry, f"{kind}s")
+            assert getattr(resolved, attribute) is store[key]
+            assert registry.snapshot()["families"][family]["help"] == help
+
+
+def test_probe_bundles_are_shared_per_registry_and_label_set(registry):
+    # The 10k-study constraint: every journal holds the same namespace, so
+    # label mangling and family registration happen once, not per study.
+    first = probes("journal", target="journal")
+    assert probes("journal", target="journal") is first
+    wal = probes("journal", target="wal")
+    assert wal is not first
+    assert wal.bytes is first.bytes  # unlabelled rows are process-wide
+    assert wal.fsyncs is not first.fsyncs
+    install_runtime_registry()  # a new registry starts a new cache
+    assert probes("journal", target="journal") is not first
+
+
+def test_docs_catalogue_matches_code(tmp_path, registry):
+    """docs/observability.md lists exactly the code's families — no drift."""
+    import re
+    from pathlib import Path
+
+    doc = (Path(__file__).parents[2] / "docs" / "observability.md").read_text()
+    section = doc.split("## Probe catalogue")[1].split("\n## ")[0]
+    documented = [
+        family
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for family in re.findall(r"`([a-z_]+)`", line.split("|")[1])
+    ]
+    assert len(documented) == len(set(documented))
+    catalogue = {row[2] for rows in CATALOGUE.values() for row in rows}
+    # The collector gauges are whatever a scrape of a live mux publishes
+    # beyond the catalogue.
+    mux, _ = run_mux(tmp_path, 2)
+    collected = set(registry.snapshot()["families"]) - catalogue
+    assert len(collected) == 8
+    assert set(documented) == catalogue | collected
 
 
 def test_install_uninstall_roundtrip():
     reg = install_runtime_registry()
     assert runtime_registry() is reg
-    custom = RuntimeRegistry()
+    custom = MetricsRegistry()
     assert install_runtime_registry(custom) is custom
     assert runtime_registry() is custom
     uninstall_runtime_registry()
@@ -150,11 +195,11 @@ def test_install_uninstall_roundtrip():
 
 
 def test_series_key_mangling():
-    assert _series_key("m", None) == "m"
-    assert _series_key("m", {}) == "m"
-    assert _series_key("m", {"b": 1, "a": "x"}) == 'm{a="x",b="1"}'
+    assert series_key("m", None) == "m"
+    assert series_key("m", {}) == "m"
+    assert series_key("m", {"b": 1, "a": "x"}) == 'm{a="x",b="1"}'
     # Escaping: backslash, quote, newline.
-    assert _series_key("m", {"v": 'a"b\\c\nd'}) == 'm{v="a\\"b\\\\c\\nd"}'
+    assert series_key("m", {"v": 'a"b\\c\nd'}) == 'm{v="a\\"b\\\\c\\nd"}'
 
 
 def test_labelled_counters_are_distinct_series(registry):
@@ -222,8 +267,8 @@ def test_queue_collector_prunes_after_gc(registry):
 # ---------------------------------------------------------------------------
 
 
-def populated_registry() -> RuntimeRegistry:
-    reg = RuntimeRegistry()
+def populated_registry() -> MetricsRegistry:
+    reg = MetricsRegistry()
     reg.counter("b_total", help="a counter", labels={"k": "v"}).inc(3)
     reg.counter("b_total", labels={"k": "w"}).inc(1.5)
     reg.gauge("a_gauge", help="a gauge").set(2.5)
@@ -327,7 +372,7 @@ def test_probes_populated_by_mux_run(tmp_path, registry):
     assert counters["mux_dispatched_jobs_total"] == sum(
         r.jobs_dispatched for r in out.results
     )
-    assert histograms["study_ask_batch_jobs"]["count"] > 0
+    assert counters["study_asks_total"] > 0
     assert histograms["study_tell_seconds"]["count"] > 0
     assert histograms["wal_commit_bytes"]["count"] > 0
     # Finished studies never read as starving, whole cluster drained.
@@ -343,16 +388,52 @@ def test_probes_populated_by_mux_run(tmp_path, registry):
 
 
 def test_hub_attached_solo_run_counts_every_ask(registry):
-    # One sample per job handed out, on the path every backend uses (one
+    # One increment per job handed out, on the path every backend uses (one
     # ask per freed worker): the exported count is the number of jobs asked.
     study = Study(make_scheduler(0))
     cluster = SimulatedCluster(4, seed=1000, straggler_std=0.3)
     result = cluster.run(study, OBJECTIVE, time_limit=60.0, telemetry=TelemetryHub())
-    histograms = registry.snapshot()["histograms"]
+    counters = registry.snapshot()["counters"]
     assert result.jobs_dispatched > 0
-    assert histograms["study_ask_batch_jobs"]["count"] == result.jobs_dispatched
-    assert histograms["study_ask_batch_jobs"]["sum"] == float(result.jobs_dispatched)
-    assert histograms["study_tell_batch_results"]["count"] == len(result.measurements)
+    assert counters["study_asks_total"] == result.jobs_dispatched
+    assert counters["study_tells_total"] == len(result.measurements)
+
+
+def test_simulated_retries_are_exported(registry):
+    # Retries are counted where every backend routes failures, so the
+    # simulator exports them — without growing dispatch/collect series.
+    from repro.backend import RetryPolicy
+
+    cluster = SimulatedCluster(4, seed=1000, straggler_std=0.3, drop_probability=0.2)
+    result = cluster.run(
+        make_scheduler(0),
+        OBJECTIVE,
+        time_limit=60.0,
+        retry_policy=RetryPolicy(max_attempts=3, backoff=0.5),
+    )
+    counters = registry.snapshot()["counters"]
+    assert result.jobs_retried > 0
+    assert counters['backend_retries_total{backend="simulation"}'] == result.jobs_retried
+    assert not any(key.startswith("backend_dispatch_total") for key in counters)
+
+
+def test_threaded_retries_are_counted_at_the_same_site(registry):
+    from repro.backend import FailureInjectingObjective, RetryPolicy, ThreadPoolBackend
+    from repro.core import RandomSearch
+
+    objective = toy_objective(max_resource=9.0, constant=False)
+    search = RandomSearch(
+        objective.space, np.random.default_rng(0), max_resource=9.0, max_trials=4
+    )
+    result = ThreadPoolBackend(2, poll_interval=0.001).run(
+        search,
+        FailureInjectingObjective(objective, crash_first=1),
+        time_limit=30.0,
+        retry_policy=RetryPolicy(max_attempts=3),
+    )
+    counters = registry.snapshot()["counters"]
+    assert result.jobs_retried == 4  # one injected crash per config
+    assert counters['backend_retries_total{backend="threads"}'] == 4
 
 
 def test_mux_study_label_cardinality_cap(registry):
@@ -372,8 +453,8 @@ def test_mux_study_label_cardinality_cap(registry):
 
     mux = FakeMux()
     mux._runs = [FakeRun() for _ in range(MUX_STUDY_LABEL_CAP + 10)]
-    probes = mux_probes(mux)
-    probes.tick_box[0] = 7
+    mux._tick_box = [7]
+    watch(mux, collect_mux)
     gauges = registry.snapshot()["gauges"]
     per_study = [k for k in gauges if k.startswith("mux_starvation_age_ticks{")]
     assert len(per_study) == MUX_STUDY_LABEL_CAP
