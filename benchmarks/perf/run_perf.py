@@ -36,6 +36,13 @@ experiment runs — and writes a stable-schema ``BENCH_perf.json``:
   of 1.03 — enabled probes must cost at most 3% on the instrumented hot
   paths, and the disabled paths (a pointer load + branch per site) are
   bounded above by the same number.
+* ``journal_resume_restore`` / ``journal_resume_replay`` — recovery: one
+  closed-loop client writes a 20k-tell (quick: 5k) journal, then each of
+  several paired rounds times a restore-mode ``Study.resume`` (read, heal,
+  re-drive the scheduler) and a full replay-mode pass (resume, then the
+  same client verified record by record against the cursor) back to back.
+  The value is the *median* round's records per second; ``meta.iqr`` is
+  the spread between the rounds' quartiles.
 * ``multiplex_speedup`` — the same 1k-study workload through the naive
   loop-per-study baseline (each study drives its own loop and fsyncs its
   own journal on a per-study cadence) divided by the multiplexer's time
@@ -63,8 +70,10 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import tempfile
 import time
+from collections import deque
 
 import numpy as np
 
@@ -425,6 +434,73 @@ def bench_observability_overhead(quick: bool) -> dict[str, float]:
     return ratios
 
 
+# ------------------------------------------------------------ resume
+
+
+def _resume_scheduler() -> ASHA:
+    """The ask/tell client's scheduler: ASHA over the PTB LSTM space, eta 4."""
+    return ASHA(
+        ptb_lstm.space(),
+        np.random.default_rng(0),
+        min_resource=ptb_lstm.R / 64.0,
+        max_resource=ptb_lstm.R,
+        eta=4,
+    )
+
+
+def _drive_client(study: Study, tells: int) -> int:
+    """Closed loop: keep 64 jobs in flight, tell the oldest; asks + tells made."""
+    in_flight: deque = deque()
+    asks = told = 0
+    while told < tells:
+        while len(in_flight) < 64 and (job := study.ask()) is not None:
+            in_flight.append(job)
+            asks += 1
+        if not in_flight:
+            break
+        job = in_flight.popleft()
+        study.tell(job, seeded_uniform(0, job.job_id))
+        told += 1
+    return asks + told
+
+
+def bench_journal_resume(tells: int, rounds: int = 7) -> tuple[int, dict[str, list[float]]]:
+    """(records, per-round records/s by mode) resuming one journal both ways.
+
+    A round is one restore and one replay back to back, so a load swing on
+    the machine lands on both.  Restore is ``Study.resume`` alone; replay is
+    the resume plus the client re-run against the cursor until it is
+    exhausted — the whole of what each mode costs before new work starts.
+    Schedulers are built outside the timed calls.
+    """
+    with tempfile.TemporaryDirectory(prefix="perf_resume_") as directory:
+        path = os.path.join(directory, "resume.journal.jsonl")
+        study = Study(_resume_scheduler(), journal=path)
+        records = _drive_client(study, tells)
+        study.finalize()
+        study.close()
+        size = os.path.getsize(path)
+
+        def restore(scheduler: ASHA) -> None:
+            Study.resume(path, scheduler=scheduler, mode="restore").close()
+
+        def replay(scheduler: ASHA) -> None:
+            resumed = Study.resume(path, scheduler=scheduler, mode="replay")
+            _drive_client(resumed, tells)
+            still_replaying = resumed.replaying
+            resumed.close()
+            if still_replaying or os.path.getsize(path) != size:
+                raise RuntimeError("journal_resume_replay: the replay left its journal")
+
+        rates: dict[str, list[float]] = {"restore": [], "replay": []}
+        for _ in range(rounds):
+            for name, resume in (("restore", restore), ("replay", replay)):
+                scheduler = _resume_scheduler()
+                seconds, _ = time_call(lambda: resume(scheduler))
+                rates[name].append(records / seconds)
+        return records, rates
+
+
 # ------------------------------------------------------------------- main
 
 
@@ -554,6 +630,25 @@ def run_suite(quick: bool, only: list[str] | None = None) -> dict:
                 **{f"ratio_{name}": round(ratio, 4) for name, ratio in ratios.items()},
             },
         )
+
+    if want("journal_resume"):
+        resume_tells = 5_000 if quick else 20_000
+        print(f"[perf] journal_resume_restore/_replay ({resume_tells} tells)...", flush=True)
+        records, rates = bench_journal_resume(resume_tells)
+        for resume_mode, per_round in rates.items():
+            quartiles = statistics.quantiles(per_round, n=4)
+            benchmarks[f"journal_resume_{resume_mode}"] = benchmark_entry(
+                statistics.median(per_round),
+                "records/s",
+                higher_is_better=True,
+                calibration_ops_per_s=calibration,
+                meta={
+                    "tells": resume_tells,
+                    "records": records,
+                    "rounds": len(per_round),
+                    "iqr": round(quartiles[2] - quartiles[0], 1),
+                },
+            )
 
     if want("multiplex_speedup"):
         print(f"[perf] multiplex_speedup ({mux_speedup_studies} studies)...", flush=True)

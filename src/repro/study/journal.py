@@ -64,50 +64,95 @@ def encode_record(record: dict[str, Any]) -> str:
     return encode_canonical(record)
 
 
+#: The C scanner behind ``json.loads``, called without its Python wrappers.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _scan_body(body: bytes, lines: list[str] | None) -> list[dict[str, Any]] | None:
+    """Decode a journal's newline-terminated part in one scanner loop.
+
+    Vouches only for ASCII (byte offsets are character offsets, and it is
+    all :func:`encode_record` emits) in which every line is exactly one
+    JSON object, from the line's first character to its newline.  Anything
+    else — padding, CRLF, a value spanning lines or sharing one, a
+    non-object, a scanner error — returns ``None`` and the per-line reader
+    decides instead.
+    """
+    if not body.isascii():
+        return None
+    text = body.decode("ascii")
+    records: list[dict[str, Any]] = []
+    pos = 0
+    try:
+        while pos < len(text):
+            newline = text.index("\n", pos)
+            record, end = _scan_once(text, pos)
+            if end != newline or type(record) is not dict:
+                return None
+            records.append(record)
+            pos = newline + 1
+    except (StopIteration, ValueError):
+        return None
+    if lines is not None:
+        lines.extend(text.split("\n"))
+        lines.pop()  # the empty piece after the final newline
+    return records
+
+
+def _decode_line(line: bytes, lines: list[str] | None) -> dict[str, Any]:
+    text = line.decode("utf-8")
+    record = json.loads(text)
+    if type(record) is not dict:
+        raise ValueError("a journal record is a JSON object")
+    if lines is not None:
+        lines.append(text)
+    return record
+
+
+def _read_journal(
+    path: str | os.PathLike[str], lines: list[str] | None = None
+) -> tuple[list[dict[str, Any]], int, bool]:
+    """:func:`read_journal`; ``lines``, when given, receives each record's text."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    valid = raw.rfind(b"\n") + 1
+    body, tail = raw[:valid], raw[valid:]
+    records = _scan_body(body, lines)
+    if records is None:
+        records = []
+        for number, line in enumerate(body.split(b"\n")[:-1], start=1):
+            try:
+                records.append(_decode_line(line, lines))
+            except (UnicodeDecodeError, ValueError) as exc:
+                raise JournalError(
+                    f"{os.fspath(path)}: unparseable record on line {number} "
+                    "(only the final line of a journal may be torn)"
+                ) from exc
+    # Bytes after the final newline: empty when the file is cleanly
+    # terminated, otherwise a tail whose trailing newline (or more) never
+    # reached the disk.
+    if tail:
+        try:
+            records.append(_decode_line(tail, lines))
+        except (UnicodeDecodeError, ValueError):
+            pass  # torn tail — the interrupted final append
+        else:
+            return records, len(raw), False
+    return records, valid, True
+
+
 def read_journal(path: str | os.PathLike[str]) -> tuple[list[dict[str, Any]], int, bool]:
     """Parse a journal, tolerating a torn tail.
 
     Returns ``(records, valid_bytes, terminated)``: the parsed records, how
     many leading bytes of the file they occupy (where crash recovery should
     truncate to), and whether the last accepted record ended with a
-    newline.  A *final* line that does not parse is dropped — it is the
-    append a crash interrupted.  An unparseable line anywhere before the
-    tail raises :class:`JournalError`.
+    newline.  A record is a JSON object on a line of its own.  A *final*
+    line that does not parse as one is dropped — it is the append a crash
+    interrupted.  Such a line anywhere before the tail raises
+    :class:`JournalError`.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    records: list[dict[str, Any]] = []
-    valid = 0
-    terminated = True
-    lines = raw.split(b"\n")
-    last = len(lines) - 1
-    offset = 0
-    for i, line in enumerate(lines):
-        if i == last:
-            # Bytes after the final newline: empty when the file is cleanly
-            # terminated, otherwise a tail whose trailing newline (or more)
-            # never reached the disk.
-            if not line:
-                break
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                break  # torn tail — the interrupted final append
-            records.append(record)
-            valid = offset + len(line)
-            terminated = False
-            break
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise JournalError(
-                f"{os.fspath(path)}: unparseable record on line {i + 1} "
-                "(only the final line of a journal may be torn)"
-            ) from exc
-        records.append(record)
-        offset += len(line) + 1
-        valid = offset
-    return records, valid, terminated
+    return _read_journal(path)
 
 
 class Journal:
@@ -120,7 +165,8 @@ class Journal:
     mode:
         ``"w"`` truncates and writes a fresh header.  ``"a"`` reopens an
         existing journal for continued appends, healing any torn tail in
-        place first (a missing file falls back to ``"w"`` behaviour).
+        place first (a missing file, or one holding no complete record,
+        falls back to ``"w"`` behaviour).
     spec:
         Optional JSON-serialisable scheduler recipe recorded in the header
         of a fresh journal (see :func:`repro.study.spec.build_spec`), used
@@ -141,7 +187,11 @@ class Journal:
         *,
         spec: dict[str, Any] | None = None,
         writer: "JournalWriter | None" = None,
+        _scanned: tuple[int, bool] | None = None,
     ):
+        # ``_scanned``: the ``(valid_bytes, terminated)`` of a read_journal
+        # pass the caller (Study.resume) has just made, so reopening does
+        # not read and decode the file a second time.
         if mode not in ("w", "a"):
             raise ValueError(f"mode must be 'w' or 'a', got {mode!r}")
         self.path = os.fspath(path)
@@ -161,16 +211,21 @@ class Journal:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
+        valid, terminated = 0, True
         if mode == "a" and os.path.exists(self.path):
-            _, valid, terminated = read_journal(self.path)
+            valid, terminated = _scanned if _scanned is not None else read_journal(self.path)[1:]
+        if valid:
             with open(self.path, "r+b") as fh:
                 fh.truncate(valid)
-                if valid and not terminated:
+                if not terminated:
                     fh.seek(0, os.SEEK_END)
                     fh.write(b"\n")
             if writer is None:
                 self._file = open(self.path, "a", encoding="utf-8")
         else:
+            # Nothing valid on disk — no file, or one that died before its
+            # header landed (every group-commit journal, until its writer's
+            # first commit): start it afresh.
             if writer is None:
                 self._file = open(self.path, "w", encoding="utf-8")
             else:

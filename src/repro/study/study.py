@@ -43,8 +43,8 @@ from .journal import (
     Journal,
     JournalError,
     JournalWriter,
+    _read_journal,
     encode_record,
-    read_journal,
 )
 from .spec import scheduler_from_spec
 
@@ -84,8 +84,10 @@ class Study:
             self.journal = journal
         else:
             self.journal = Journal(journal, spec=spec)
-        # Replay cursor: records still to be verified against live re-execution.
+        # Replay cursor: records still to be verified against live
+        # re-execution, and the journal line each one was decoded from.
         self._cursor: list[dict[str, Any]] = []
+        self._cursor_lines: list[str] = []
         self._cursor_pos = 0
         # job_id -> journalled loss for every tell the cursor has not consumed.
         self._replay_tells: dict[int, float] = {}
@@ -214,15 +216,18 @@ class Study:
     def _record(self, record: dict[str, Any]) -> None:
         """Verify against the replay cursor, or append live."""
         if self._cursor_pos < len(self._cursor):
-            expected = self._cursor[self._cursor_pos]
-            if encode_record(record) != encode_record(expected):
-                raise JournalReplayError(
-                    f"replay diverged at journal line {self._cursor_pos + 2}: "
-                    f"journal has {encode_record(expected)}, "
-                    f"re-execution produced {encode_record(record)}; "
-                    "was the study reconstructed with the same scheduler, "
-                    "seed, and backend scenario?"
-                )
+            line = encode_record(record)
+            if line != self._cursor_lines[self._cursor_pos]:
+                # Not the bytes on disk: a hand-edited journal may still
+                # hold the same record in another spelling.
+                expected = encode_record(self._cursor[self._cursor_pos])
+                if line != expected:
+                    raise JournalReplayError(
+                        f"replay diverged at journal line {self._cursor_pos + 2}: "
+                        f"journal has {expected}, re-execution produced {line}; "
+                        "was the study reconstructed with the same scheduler, "
+                        "seed, and backend scenario?"
+                    )
             self._cursor_pos += 1
             if record["kind"] == "tell":
                 self._replay_tells.pop(record["job_id"], None)
@@ -293,10 +298,13 @@ class Study:
     ) -> Study:
         """Reopen a journal and bring a scheduler back to its recorded state.
 
-        The journal's torn tail (if the previous process died mid-append)
-        is healed in place.  With ``scheduler=None`` the scheduler is
-        reconstructed from the recipe in the journal header, which exists
-        whenever the study was built from registered names.
+        The file is read and decoded once; its torn tail (if the previous
+        process died mid-append) is healed in place.  With ``scheduler=None``
+        the scheduler is reconstructed from the recipe in the journal header,
+        which exists whenever the study was built from registered names.  A
+        file holding no complete record — the process died before the header
+        landed — resumes as an empty study on a fresh journal, which needs
+        the scheduler passed in.
 
         ``mode="replay"`` arms the verification cursor and returns
         immediately; hand the study to the same simulated backend and the
@@ -310,37 +318,48 @@ class Study:
         """
         if mode not in ("replay", "restore"):
             raise ValueError(f"mode must be 'replay' or 'restore', got {mode!r}")
-        records, _, _ = read_journal(journal_path)
-        if not records or records[0].get("kind") != "journal_header":
-            raise JournalError(f"{os.fspath(journal_path)}: missing journal header")
-        header = records[0]
-        if header.get("version") != JOURNAL_VERSION:
+        path = os.fspath(journal_path)
+        lines: list[str] | None = [] if mode == "replay" else None
+        records, valid, terminated = _read_journal(path, lines)
+        spec = None
+        if records:
+            header = records[0]
+            if header.get("kind") != "journal_header":
+                raise JournalError(f"{path}: missing journal header")
+            if header.get("version") != JOURNAL_VERSION:
+                raise JournalError(
+                    f"{path}: journal version {header.get('version')!r} "
+                    f"not supported (expected {JOURNAL_VERSION})"
+                )
+            spec = header.get("spec")
+        elif scheduler is None:
             raise JournalError(
-                f"{os.fspath(journal_path)}: journal version "
-                f"{header.get('version')!r} not supported (expected {JOURNAL_VERSION})"
+                f"{path}: holds no journal header to rebuild the scheduler from; "
+                "pass the reconstructed scheduler explicitly"
             )
         if scheduler is None:
-            spec = header.get("spec")
             if spec is None:
                 raise JournalError(
-                    f"{os.fspath(journal_path)}: journal header has no scheduler "
-                    "recipe; pass the reconstructed scheduler explicitly"
+                    f"{path}: journal header has no scheduler recipe; "
+                    "pass the reconstructed scheduler explicitly"
                 )
             scheduler = scheduler_from_spec(spec)
-        body = records[1:]
-        # Opening in append mode truncates the torn tail on disk, so `body`
-        # is exactly what remains in the file.
-        journal = Journal(journal_path, mode="a", writer=journal_writer)
+        # The journal heals its torn tail from the scan above instead of
+        # reading the file again; what stays on disk is exactly `records`.
+        journal = Journal(path, mode="a", writer=journal_writer, _scanned=(valid, terminated))
         study = cls(scheduler, journal=journal)
-        if mode == "replay":
-            study._cursor = body
+        del records[:1]  # the header; the rest is the body
+        if lines is not None:
+            del lines[:1]
+            study._cursor = records
+            study._cursor_lines = lines
             study._replay_tells = {
                 int(record["job_id"]): float(record["loss"])
-                for record in body
+                for record in records
                 if record.get("kind") == "tell"
             }
         else:
-            study._restore(body)
+            study._restore(records)
         return study
 
     def _restore(self, body: list[dict[str, Any]]) -> None:

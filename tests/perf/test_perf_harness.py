@@ -133,6 +133,20 @@ class TestCommittedArtifacts:
             assert "ratio_study_scheduler" in entry["meta"], path
             assert "ratio_multiplex" in entry["meta"], path
 
+    def test_journal_resume_benchmarks_are_gated_with_their_spread(self):
+        # Recovery rates: both resume modes are in every committed artifact,
+        # gated against the baseline (no ``gated: false``), and carry the
+        # spread of the paired rounds their median came from.
+        for path in (PERF_DIR / "baseline.json", REPO_ROOT / "BENCH_perf.json"):
+            report = json.loads(path.read_text())
+            expected_tells = 20_000 if report["mode"] == "full" else 5_000
+            for name in ("journal_resume_restore", "journal_resume_replay"):
+                entry = report["benchmarks"][name]
+                assert entry["meta"].get("gated", True) is True, (path, name)
+                assert entry["unit"] == "records/s" and entry["higher_is_better"], (path, name)
+                assert entry["meta"]["tells"] == expected_tells, (path, name)
+                assert entry["meta"]["rounds"] >= 5 and entry["meta"]["iqr"] >= 0, (path, name)
+
     def test_skipped_speedups_record_their_reason(self):
         # Wherever a committed artifact skipped a speedup, the skip must be
         # loud: reason recorded, cpu_count below the requirement.

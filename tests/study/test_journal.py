@@ -128,6 +128,31 @@ def test_append_mode_on_missing_file_writes_fresh_header(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("on_disk", [b"", b'{"kind":"journal_hea'], ids=["empty", "torn-header"])
+@pytest.mark.parametrize("group_commit", [False, True], ids=["immediate", "group-commit"])
+def test_append_mode_on_a_file_with_no_complete_record_writes_fresh_header(
+    tmp_path, on_disk, group_commit
+):
+    """Nothing valid on disk is the missing-file case: header first, then records.
+
+    Zero bytes is every group-commit journal between its creation and its
+    writer's first commit; healing that to an empty file and appending
+    left a journal no resume would accept.
+    """
+    path = tmp_path / "died-early.journal.jsonl"
+    path.write_bytes(on_disk)
+    writer = JournalWriter() if group_commit else None
+    journal = Journal(path, mode="a", spec={"scheduler": "asha"}, writer=writer)
+    journal.append(RECORDS[0])
+    journal.close()
+    records, _, terminated = read_journal(path)
+    assert terminated
+    assert records == [
+        {"kind": "journal_header", "version": JOURNAL_VERSION, "spec": {"scheduler": "asha"}},
+        RECORDS[0],
+    ]
+
+
 def test_header_spec_round_trips(tmp_path):
     path = tmp_path / "run.journal.jsonl"
     spec = {"scheduler": "asha", "seed": 7, "eta": 3}

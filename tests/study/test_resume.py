@@ -20,7 +20,7 @@ from repro.backend import RetryPolicy, SimulatedCluster, ThreadPoolBackend
 from repro.backend.process_pool import ProcessPoolBackend
 from repro.core import ASHA, build_scheduler
 from repro.experiments.toys import toy_objective, toy_space
-from repro.study import Study, read_journal
+from repro.study import JournalWriter, Study, read_journal
 from repro.telemetry import JSONLSink, TelemetryHub
 
 GOLDEN_TRACE_DIR = Path(__file__).parents[1] / "integration" / "golden"
@@ -213,7 +213,37 @@ def test_thread_backend_restore_mode_resumes(tmp_path):
 
 
 def test_resume_missing_header_raises(tmp_path):
+    """No header and no scheduler given: nothing to rebuild a scheduler from."""
     path = tmp_path / "empty.journal.jsonl"
     path.write_bytes(b"")
     with pytest.raises(Exception, match="header"):
+        Study.resume(path)
+    path.write_bytes(b'{"kind":"ask","job_id":0}\n')  # records, but the first is no header
+    with pytest.raises(Exception, match="header"):
         Study.resume(path, scheduler=make_scheduler())
+
+
+@pytest.mark.parametrize("on_disk", [b"", b'{"kind":"journal_hea'], ids=["empty", "torn-header"])
+@pytest.mark.parametrize("mode", ["replay", "restore"])
+@pytest.mark.parametrize("group_commit", [False, True], ids=["immediate", "group-commit"])
+def test_resume_of_a_journal_that_died_before_its_header(tmp_path, on_disk, mode, group_commit):
+    """Nothing valid on disk + a given scheduler: an empty study on a fresh journal.
+
+    Zero bytes is what every group-commit journal holds between its
+    creation and its writer's first commit; the resumed study must journal
+    with a header, so that *its* journal resumes in turn.
+    """
+    path = tmp_path / "died-early.journal.jsonl"
+    path.write_bytes(on_disk)
+    writer = JournalWriter() if group_commit else None
+    study = Study.resume(path, scheduler=make_scheduler(), mode=mode, journal_writer=writer)
+    assert not study.replaying and study.orphaned_jobs == [] and study.num_trials == 0
+    job = study.ask()
+    study.tell(job, 0.5)
+    study.close()
+    records, _, terminated = read_journal(path)
+    assert terminated
+    assert [record["kind"] for record in records] == ["journal_header", "ask", "tell"]
+    again = Study.resume(path, scheduler=make_scheduler(), mode="restore")
+    assert again.num_trials == 1
+    again.close()
