@@ -43,6 +43,13 @@ experiment runs — and writes a stable-schema ``BENCH_perf.json``:
   same client verified record by record against the cursor) back to back.
   The value is the *median* round's records per second; ``meta.iqr`` is
   the spread between the rounds' quartiles.
+* ``import_cold`` — what every CLI call, spawned child and service restart
+  pays before its first line runs: ``import repro`` in a fresh interpreter,
+  the *median* of several children, each paired with a ``python -c pass``
+  child whose time (interpreter start) is subtracted.  ``meta.iqr`` is the
+  spread between the rounds' quartiles and ``meta.import_modules`` the size
+  of ``sys.modules`` afterwards — the count moves when a heavy dependency
+  joins or leaves the import path, whatever the machine's speed.
 * ``multiplex_speedup`` — the same 1k-study workload through the naive
   loop-per-study baseline (each study drives its own loop and fsyncs its
   own journal on a per-study cadence) divided by the multiplexer's time
@@ -71,6 +78,8 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from collections import deque
@@ -281,7 +290,10 @@ def _run_studies_baseline(directory: str, num_studies: int) -> tuple[float, int]
     objective = toy_objective()
     items = [
         (
-            Study(_mux_scheduler(i), journal=_CadenceJournal(os.path.join(directory, f"solo_{i}.jsonl"))),
+            Study(
+                _mux_scheduler(i),
+                journal=_CadenceJournal(os.path.join(directory, f"solo_{i}.jsonl")),
+            ),
             SimulatedCluster(_MUX_WORKERS, seed=10_000 + i),
         )
         for i in range(num_studies)
@@ -501,6 +513,31 @@ def bench_journal_resume(tells: int, rounds: int = 7) -> tuple[int, dict[str, li
         return records, rates
 
 
+# ------------------------------------------------------------ cold start
+
+
+def bench_import_cold(rounds: int = 7) -> tuple[list[float], int]:
+    """(per-round seconds of ``import repro``, modules it loads) in fresh children.
+
+    A round is a ``python -c "import repro"`` child and a ``python -c pass``
+    child back to back; their difference is the import alone.  Children
+    inherit this process's environment, so they find ``repro`` the way the
+    harness did.
+    """
+
+    def child(code: str) -> subprocess.CompletedProcess[str]:
+        return subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        )
+
+    seconds = [
+        time_call(lambda: child("import repro"))[0] - time_call(lambda: child("pass"))[0]
+        for _ in range(rounds)
+    ]
+    modules = int(child("import repro, sys; print(len(sys.modules))").stdout)
+    return seconds, modules
+
+
 # ------------------------------------------------------------------- main
 
 
@@ -649,6 +686,22 @@ def run_suite(quick: bool, only: list[str] | None = None) -> dict:
                     "iqr": round(quartiles[2] - quartiles[0], 1),
                 },
             )
+
+    if want("import_cold"):
+        print("[perf] import_cold (fresh interpreters)...", flush=True)
+        per_round, modules = bench_import_cold()
+        quartiles = statistics.quantiles(per_round, n=4)
+        benchmarks["import_cold"] = benchmark_entry(
+            statistics.median(per_round),
+            "s",
+            higher_is_better=False,
+            calibration_ops_per_s=calibration,
+            meta={
+                "rounds": len(per_round),
+                "iqr": round(quartiles[2] - quartiles[0], 4),
+                "import_modules": modules,
+            },
+        )
 
     if want("multiplex_speedup"):
         print(f"[perf] multiplex_speedup ({mux_speedup_studies} studies)...", flush=True)

@@ -11,7 +11,12 @@ resumed in both modes and the check passes iff, each time,
   (restore: straight after ``Study.resume``; replay: after the client has
   been re-run against the cursor until it is exhausted).
 
-The two wall times are printed, and appended as a markdown table to
+A third resume runs in a fresh interpreter, restore mode, timed from
+process start to exit: the restart an operator sees is import + resume, and
+the in-process numbers leave the import out.  The child reports its own
+import/resume split and must heal the file to the same bytes.
+
+All wall times are printed, and appended as a markdown table to
 ``--summary`` (CI passes ``$GITHUB_STEP_SUMMARY``).
 
 Usage::
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 import tempfile
 from collections import deque
@@ -37,6 +43,17 @@ from repro.objectives.surrogate import seeded_uniform
 from repro.study import Study
 
 WINDOW = 64
+
+#: The restart child: this module's scheduler recipe, one restore-mode resume.
+_RESTART = """
+import sys, time
+started = time.perf_counter()
+sys.path.insert(0, {scripts!r})
+from torn_resume_check import Study, make_scheduler
+imported = time.perf_counter()
+Study.resume({journal!r}, scheduler=make_scheduler(), mode="restore").close()
+print(imported - started, time.perf_counter() - imported)
+"""
 
 
 def make_scheduler() -> ASHA:
@@ -108,6 +125,18 @@ def check(path: Path, target_records: int, summary: Path | None) -> int:
             print(f"{mode}: {label}: {'ok' if match else 'MISMATCH'}")
         print(f"{mode}: {seconds[mode]:.3f} s ({records / seconds[mode]:,.0f} records/s)")
 
+    path.write_bytes(torn)
+    code = _RESTART.format(scripts=str(Path(__file__).parent), journal=str(path))
+    started = perf_counter()
+    child = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    restart = perf_counter() - started
+    importing, resuming = map(float, child.stdout.split())
+    healed = path.read_bytes() == reference_bytes
+    ok &= healed
+    print(f"restart: healed bytes: {'ok' if healed else 'MISMATCH'}")
+    print(f"restart: {restart:.3f} s from process start to study resumed "
+          f"(import {importing:.3f} s + resume {resuming:.3f} s)")
+
     if summary is not None:
         with open(summary, "a") as fh:
             fh.write(
@@ -117,7 +146,8 @@ def check(path: Path, target_records: int, summary: Path | None) -> int:
                     f"| `{mode}` | {s:.3f} s | {records / s:,.0f} |\n"
                     for mode, s in seconds.items()
                 )
-                + "\n"
+                + f"| fresh interpreter, `restore` (import {importing:.3f} s + resume "
+                f"{resuming:.3f} s) | {restart:.3f} s | {records / restart:,.0f} |\n\n"
             )
     return 0 if ok else 1
 

@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from collections import defaultdict
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .scheduler import Scheduler
 from .types import Job, TrialStatus
@@ -114,6 +113,8 @@ class CurveExtrapolationRule(StoppingRule):
 
     def extrapolate(self, trial_id: int) -> float | None:
         """Predicted loss at ``max_resource``, or ``None`` if unfittable."""
+        from scipy.optimize import least_squares  # not under the try: a broken scipy must raise
+
         points = [
             (r, loss) for r, loss in self._history.get(trial_id, []) if np.isfinite(loss) and r > 0
         ]

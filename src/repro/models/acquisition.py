@@ -10,7 +10,6 @@ and the model is refit so later proposals in the batch spread out.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from .gp import GaussianProcess
 
@@ -21,11 +20,13 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.0
 ) -> np.ndarray:
     """EI for *minimisation*: ``E[max(best - xi - Y, 0)]`` under N(mean, std^2)."""
+    from scipy.special import ndtr
+
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     gap = best - xi - mean
     z = gap / std
-    return gap * norm.cdf(z) + std * norm.pdf(z)
+    return gap * ndtr(z) + std * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
 
 
 def ucb(mean: np.ndarray, std: np.ndarray, beta: float = 2.0) -> np.ndarray:

@@ -12,7 +12,6 @@ of observations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .kernels import Kernel, Matern52
 
@@ -58,6 +57,8 @@ class GaussianProcess:
         heavy-tailed losses (we reproduce both the capped and uncapped
         behaviour in the Figure 5 bench).
         """
+        from scipy.linalg import cho_factor, cho_solve
+
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if len(x) != len(y):
@@ -118,6 +119,8 @@ class GaussianProcess:
 
     def predict(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at the rows of ``x_new``."""
+        from scipy.linalg import cho_solve
+
         self._require_fit()
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
         k_star = self.kernel(self._x, x_new)  # (n, m)

@@ -294,7 +294,7 @@ class Study:
         *,
         scheduler: Scheduler | None = None,
         mode: str = "replay",
-        journal_writer: "JournalWriter | None" = None,
+        journal_writer: JournalWriter | None = None,
     ) -> Study:
         """Reopen a journal and bring a scheduler back to its recorded state.
 

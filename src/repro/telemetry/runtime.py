@@ -24,10 +24,9 @@ internals observable without making them slower when nobody is looking:
   ``StudyMultiplexer(scraper=...)`` argument does this for you) and it
   appends a canonical-JSON registry snapshot to a JSONL file every N
   simulated ticks.
-* An ops CLI: ``python -m repro.telemetry.runtime snapshots.jsonl
-  --watch/--prom/--report`` renders a live multiplexer health table,
-  the full metric report, or the Prometheus text of the last snapshot
-  (:mod:`repro.telemetry.exposition`).
+* The ops CLI, :func:`main` (``python -m repro.telemetry snapshots.jsonl
+  --watch/--prom/--report``): a live multiplexer health table, the full
+  metric report, or the last snapshot as Prometheus text.
 
 Install order matters: probes are resolved when the instrumented object is
 *constructed*, so install the registry before building studies, queues,
@@ -473,7 +472,7 @@ def _watch(path: str, interval: float) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.runtime",
+        prog="python -m repro.telemetry",
         description="Inspect runtime-probe snapshots scraped by RuntimeScraper.",
     )
     parser.add_argument("snapshots", help="JSONL snapshot file written by RuntimeScraper")
@@ -513,7 +512,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.report or not (args.prom or args.validate):
         print(render_report(snapshots))
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

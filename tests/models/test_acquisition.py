@@ -31,6 +31,30 @@ class TestExpectedImprovement:
         ei1 = expected_improvement(np.array([-0.1]), np.array([0.05]), best=0.0, xi=0.5)
         assert ei1[0] < ei0[0]
 
+    @pytest.mark.parametrize("xi", [0.0, 0.01, -0.3])
+    def test_bit_equal_to_scipy_stats_norm(self, xi):
+        """``ndtr`` and the written-out density are what ``norm.cdf``/``pdf``
+        evaluate; EI dropped ``scipy.stats`` for its import and call cost, and
+        must not have moved a bit (golden GP traces depend on the argmax)."""
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(7)
+        edge = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, np.inf, -np.inf, np.nan])
+        mean = np.concatenate([np.repeat(edge, 4), rng.normal(scale=3.0, size=20_000)])
+        std = np.concatenate(
+            [np.tile([0.0, 1e-12, 1.0, np.inf], len(edge)), rng.gamma(1.0, size=20_000)]
+        )
+        best = 0.25
+        with np.errstate(all="ignore"):
+            got = expected_improvement(mean, std, best, xi=xi)
+            floored = np.maximum(std, 1e-12)
+            gap = best - xi - mean
+            z = gap / floored
+            want = gap * norm.cdf(z) + floored * norm.pdf(z)
+        assert np.isnan(got).any() and np.isfinite(got).any()
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 def test_ucb_prefers_low_mean_high_std():
     scores = ucb(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.1, 1.0]), beta=2.0)

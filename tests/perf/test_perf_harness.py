@@ -147,6 +147,16 @@ class TestCommittedArtifacts:
                 assert entry["meta"]["tells"] == expected_tells, (path, name)
                 assert entry["meta"]["rounds"] >= 5 and entry["meta"]["iqr"] >= 0, (path, name)
 
+    def test_import_cold_is_gated_with_its_spread_and_module_count(self):
+        # Cold start: a gated duration (no ``gated: false``) with the spread
+        # of its paired children and the machine-independent module count.
+        for path in (PERF_DIR / "baseline.json", REPO_ROOT / "BENCH_perf.json"):
+            entry = json.loads(path.read_text())["benchmarks"]["import_cold"]
+            assert entry["meta"].get("gated", True) is True, path
+            assert entry["unit"] == "s" and entry["higher_is_better"] is False, path
+            assert entry["meta"]["rounds"] >= 5 and entry["meta"]["iqr"] >= 0, path
+            assert entry["meta"]["import_modules"] > 0, path
+
     def test_skipped_speedups_record_their_reason(self):
         # Wherever a committed artifact skipped a speedup, the skip must be
         # loud: reason recorded, cpu_count below the requirement.
