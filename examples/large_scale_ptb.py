@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ASHA, SimulatedCluster, VizierGP
+from repro import SimulatedCluster, build_scheduler
 from repro.analysis import render_table, trace_incumbent
 from repro.objectives import ptb_lstm
 
@@ -38,25 +38,19 @@ def run(name, make_scheduler):
 def main() -> None:
     print(f"{NUM_WORKERS} workers, budget = {HORIZON:.0f} x time(R)\n")
     traces = {}
+    geometry = {"min_resource": ptb_lstm.R / 64, "max_resource": ptb_lstm.R, "eta": 4}
     traces["ASHA"] = run(
         "ASHA",
-        lambda obj: ASHA(
-            obj.space,
-            np.random.default_rng(0),
-            min_resource=ptb_lstm.R / 64,
-            max_resource=ptb_lstm.R,
-            eta=4,
-        ),
+        lambda obj: build_scheduler("asha", obj.space, np.random.default_rng(0), **geometry),
     )
     traces["Vizier"] = run(
         "Vizier",
-        lambda obj: VizierGP(
+        lambda obj: build_scheduler(
+            "vizier",
             obj.space,
             np.random.default_rng(0),
-            max_resource=ptb_lstm.R,
-            loss_cap=1000.0,
-            refit_every=25,
-            max_fit_points=250,
+            kwargs={"loss_cap": 1000.0, "refit_every": 25, "max_fit_points": 250},
+            **geometry,
         ),
     )
 

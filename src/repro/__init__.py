@@ -36,9 +36,7 @@ from .backend import (
 )
 from .core import (
     ASHA,
-    BOHB,
     PBT,
-    AsyncBOHB,
     AsyncHyperband,
     DoublingSHA,
     Fabolas,
@@ -47,9 +45,7 @@ from .core import (
     RandomSearch,
     Scheduler,
     SynchronousSHA,
-    VizierGP,
 )
-from .core import GridSearch
 from .core import SCHEDULERS, build_scheduler
 from .searchers import (
     SEARCHERS,
@@ -69,16 +65,13 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ASHA",
-    "AsyncBOHB",
     "AsyncHyperband",
-    "BOHB",
     "Choice",
     "DoublingSHA",
     "Fabolas",
     "FailureInjectingObjective",
     "FunctionObjective",
     "GPEISearcher",
-    "GridSearch",
     "GridSearcher",
     "Hyperband",
     "IntUniform",
@@ -105,7 +98,6 @@ __all__ = [
     "ThreadPoolBackend",
     "TuneResult",
     "Uniform",
-    "VizierGP",
     "analysis",
     "tune",
     "backend",

@@ -2,16 +2,6 @@
 
 from .ascii_chart import render_chart, sparkline
 from .mispromotion import MispromotionStudy, mispromotion_curve, simulate_mispromotions
-from .serialize import (
-    curve_from_dict,
-    curve_to_dict,
-    load_records,
-    record_from_dict,
-    record_to_dict,
-    save_records,
-    trace_from_dict,
-    trace_to_dict,
-)
 from .results import AggregateCurve, RunRecord, aggregate
 from .stats import (
     MethodSummary,
@@ -33,17 +23,9 @@ __all__ = [
     "RunRecord",
     "aggregate",
     "bootstrap_ci",
-    "curve_from_dict",
-    "curve_to_dict",
     "format_value",
-    "load_records",
-    "record_from_dict",
-    "record_to_dict",
     "render_chart",
-    "save_records",
     "sparkline",
-    "trace_from_dict",
-    "trace_to_dict",
     "mispromotion_curve",
     "render_series",
     "render_table",

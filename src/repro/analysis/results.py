@@ -87,8 +87,11 @@ def aggregate(
         lo = filled.min(axis=0)
         hi = filled.max(axis=0)
     else:
-        lo = np.percentile(filled, 25, axis=0)
-        hi = np.percentile(filled, 75, axis=0)
+        # Quartiles of the columns someone has reported in; the others stay
+        # inf, as under "minmax" (interpolating inf - inf would give nan).
+        lo, hi = np.full((2, len(mean)), np.inf)
+        reported = np.isfinite(col_worst)
+        lo[reported], hi[reported] = np.percentile(filled[:, reported], [25, 75], axis=0)
     return AggregateCurve(
         method=method,
         grid=np.asarray(grid, dtype=float),

@@ -5,20 +5,18 @@ Events at equal times are delivered in insertion order (a strict FIFO tie
 break), which makes every simulation fully deterministic given its RNG —
 a property the hypothesis suite checks.
 
-Two implementations share the contract:
-
-* :class:`EventQueue` — the default, a calendar queue (bucketed by time)
-  whose priority structure is a min-heap of *integer* bucket ids plus a
-  sorted "active" bucket.  Heap sifting compares machine ints instead of
-  calling ``SimEvent.__lt__`` per level, and most pushes land in a small
-  bucket, so churn stays cheap as worker counts grow.
-* :class:`HeapEventQueue` — the original binary heap of events, kept as
-  the reference implementation for the hypothesis equivalence suite.
+:class:`EventQueue` is a calendar queue (bucketed by time) whose priority
+structure is a min-heap of *integer* bucket ids plus a sorted "active"
+bucket.  Heap sifting compares machine ints instead of calling
+``SimEvent.__lt__`` per level, and most pushes land in a small bucket, so
+churn stays cheap as worker counts grow.
 
 Cross-bucket ordering is strict by construction (buckets partition the
 time axis), so FIFO ties can only occur *within* a bucket, where events
-are ordered by the same ``(time, seq)`` key the heap used.  Every seeded
-trace is therefore byte-identical between the two.
+are ordered by the ``(time, seq)`` key a plain binary heap of events would
+use.  That heap — the original implementation — lives on as the oracle of
+the hypothesis equivalence suite (``tests/backend/heap_event_queue.py``);
+every seeded trace is byte-identical between the two.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Any
 
 from ..telemetry import runtime
 
-__all__ = ["EventQueue", "HeapEventQueue", "SimEvent"]
+__all__ = ["EventQueue", "SimEvent"]
 
 
 class SimEvent:
@@ -75,62 +73,6 @@ class SimEvent:
         )
 
 
-class HeapEventQueue:
-    """A min-heap of :class:`SimEvent` with a monotonic clock.
-
-    The pre-calendar implementation, retained as the behavioural oracle:
-    the hypothesis equivalence suite drives it in lockstep with
-    :class:`EventQueue` and asserts identical delivery.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[SimEvent] = []
-        self._seq = itertools.count()
-        self.clock = 0.0
-
-    def push(self, time: float, kind: str, payload: Any = None) -> SimEvent:
-        """Schedule an event; its time must not precede the current clock."""
-        if time < self.clock:
-            raise ValueError(f"cannot schedule event at {time} before clock {self.clock}")
-        event = SimEvent(time=time, seq=next(self._seq), kind=kind, payload=payload)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> SimEvent:
-        """Deliver the next event and advance the clock to its time."""
-        if not self._heap:
-            raise IndexError("pop from empty EventQueue")
-        event = heapq.heappop(self._heap)
-        self.clock = event.time
-        return event
-
-    def peek_time(self) -> float | None:
-        """Time of the next event, or ``None`` if the queue is empty."""
-        return self._heap[0].time if self._heap else None
-
-    def peek(self) -> SimEvent | None:
-        """The next event without delivering it, or ``None`` if empty."""
-        return self._heap[0] if self._heap else None
-
-    def discard_next(self) -> None:
-        """Drop the next event WITHOUT advancing the clock.
-
-        For events known to be inert — e.g. a completion scheduled by a
-        dispatch that was since killed — so that dead events neither stall
-        the clock at their (possibly far-future) timestamps nor make the
-        queue look like it still holds pending work.
-        """
-        if not self._heap:
-            raise IndexError("discard from empty EventQueue")
-        heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 class EventQueue:
     """A calendar queue of :class:`SimEvent` with a monotonic clock.
 
@@ -148,8 +90,8 @@ class EventQueue:
     too coarse) nor per-op heap churn (width irrelevant) persists.
 
     The delivery order — globally sorted by ``(time, seq)`` — and the
-    push/pop/peek/discard API are exactly those of
-    :class:`HeapEventQueue`.
+    push/pop/peek/discard API are exactly those of a binary heap of events
+    (the test suite's reference ``HeapEventQueue``).
     """
 
     def __init__(self, bucket_width: float = 1.0) -> None:
@@ -261,7 +203,7 @@ class EventQueue:
         else:
             self._active_pos = pos
 
-    # -- public contract (mirrors HeapEventQueue) --------------------------
+    # -- public contract (mirrored by the tests' reference heap) ----------
 
     def push(self, time: float, kind: str, payload: Any = None) -> SimEvent:
         """Schedule an event; its time must not precede the current clock."""

@@ -1,15 +1,12 @@
 """Tuning algorithms: ASHA and everything the paper compares it against."""
 
 from .asha import ASHA
-from .async_hyperband import AsyncHyperband
-from .bohb import AsyncBOHB, BOHB
+from .async_hyperband import AsyncHyperband, ParallelAsyncHyperband
 from .bracket import Bracket, sha_rung_schedule
 from .contract import ContractChecker, ContractViolation
 from .doubling import DoublingSHA
 from .fabolas import Fabolas
-from .grid_search import GridSearch
 from .hyperband import Hyperband, hyperband_bracket_sizes
-from .parallel_hyperband import ParallelAsyncHyperband
 from .pbt import PBT
 from .random_search import RandomSearch
 from .registry import SCHEDULERS, build_scheduler, default_bracket_size
@@ -23,13 +20,10 @@ from .stopping import (
     StoppingWrapper,
 )
 from .types import Config, Job, Measurement, Trial, TrialStatus
-from .vizier import VizierGP
 
 __all__ = [
     "ASHA",
-    "AsyncBOHB",
     "AsyncHyperband",
-    "BOHB",
     "Bracket",
     "Config",
     "ContractChecker",
@@ -37,7 +31,6 @@ __all__ = [
     "CurveExtrapolationRule",
     "DoublingSHA",
     "Fabolas",
-    "GridSearch",
     "Hyperband",
     "Job",
     "Measurement",
@@ -53,7 +46,6 @@ __all__ = [
     "SynchronousSHA",
     "Trial",
     "TrialStatus",
-    "VizierGP",
     "build_scheduler",
     "default_bracket_size",
     "hyperband_bracket_sizes",

@@ -18,17 +18,14 @@ Both horizons from Section 3.3 are supported:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..searchers.base import Searcher
-from ..searchers.random import FunctionSearcher
 from ..searchspace import SearchSpace
 from ..telemetry import EventKind
 from .bracket import Bracket
 from .scheduler import Scheduler
-from .types import Config, Job, TrialStatus
+from .types import Job, TrialStatus
 
 __all__ = ["ASHA"]
 
@@ -62,10 +59,6 @@ class ASHA(Scheduler):
         configurations and receiving every reported loss — ``KDESearcher``
         yields asynchronous BOHB, ``GPEISearcher`` a MOBSTER-family tuner.
         Default ``None``: uniform random sampling (the paper's ASHA).
-    sampler:
-        Legacy escape hatch: a bare ``sampler(rng) -> config`` callable,
-        wrapped in a feedback-less :class:`~repro.searchers.random.FunctionSearcher`.
-        Mutually exclusive with ``searcher``.
     """
 
     def __init__(
@@ -80,12 +73,7 @@ class ASHA(Scheduler):
         from_checkpoint: bool = True,
         max_trials: int | None = None,
         searcher: Searcher | None = None,
-        sampler: Callable[[np.random.Generator], Config] | None = None,
     ):
-        if sampler is not None:
-            if searcher is not None:
-                raise ValueError("pass either searcher= or the legacy sampler=, not both")
-            searcher = FunctionSearcher(sampler)
         super().__init__(space, rng, searcher=searcher)
         self.bracket = Bracket(min_resource, max_resource, eta, early_stopping_rate)
         self.from_checkpoint = from_checkpoint

@@ -54,7 +54,7 @@ class Fabolas(Scheduler):
     num_candidates:
         Random candidate configurations scored per proposal.
     refit_every, max_fit_points:
-        Speed knobs as in :class:`repro.core.vizier.VizierGP`.
+        Speed knobs as in :class:`repro.searchers.gp.GPEISearcher`.
     """
 
     def __init__(

@@ -92,7 +92,7 @@ class Hyperband(Scheduler):
 
     def next_job(self) -> Job | None:
         if self._current is None:
-            if self.max_loops is not None and self._loops >= self.max_loops:
+            if self._no_more_brackets():
                 return None
             self._current = self._make_bracket(self._current_s)
         job = self._current.next_job()
@@ -120,11 +120,7 @@ class Hyperband(Scheduler):
             self._advance_bracket()
 
     def is_done(self) -> bool:
-        return (
-            self.max_loops is not None
-            and self._loops >= self.max_loops
-            and self._current is None
-        )
+        return self._current is None and self._no_more_brackets()
 
     # ------------------------------------------------------------ snapshots
 
@@ -150,6 +146,16 @@ class Hyperband(Scheduler):
             self._current._load_extra(extra["current"])
 
     # ------------------------------------------------------------- helpers
+
+    def _no_more_brackets(self) -> bool:
+        """The loop cap is reached, or a finite searcher has nothing left.
+
+        A bracket started on an exhausted searcher would be born done, so
+        none is: the bracket in flight closes over what was proposed and
+        the search ends there.
+        """
+        capped = self.max_loops is not None and self._loops >= self.max_loops
+        return capped or self.searcher_exhausted()
 
     def _make_bracket(self, s: int) -> SynchronousSHA:
         sha = SynchronousSHA(

@@ -7,8 +7,9 @@ it anchors the value of early stopping in Figures 3 and 9.
 With a :class:`~repro.searchers.base.Searcher` attached the same scheduler
 doubles as the full-budget sequential-model-based baseline family: every
 proposal routes through the searcher and every final loss feeds back into
-it (``GPEISearcher`` here is a lean Vizier, ``GridSearcher`` classic grid
-search).
+it: ``GPEISearcher`` here is the paper's Vizier stand-in (Golovin et al.
+[2017]; the ``"gp"``/``"vizier"`` registry row), ``GridSearcher`` classic
+grid search.
 """
 
 from __future__ import annotations

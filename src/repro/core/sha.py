@@ -14,24 +14,22 @@ worker and ``grow_brackets=False`` this degrades exactly to sequential SHA.
 
 Configurations are sampled lazily, one at a time, as base-rung jobs are
 dispatched.  This is observationally identical to sampling ``n`` up front
-(line 4 of Algorithm 1) for random sampling, and it is what allows BOHB
-(:mod:`repro.core.bohb`) to reuse this class with a model-based sampler.
+(line 4 of Algorithm 1) for random sampling, and it is what lets BOHB be
+this class proposing from a :class:`~repro.searchers.kde.KDESearcher`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 import numpy as np
 
 from ..searchers.base import Searcher
-from ..searchers.random import FunctionSearcher
 from ..searchspace import SearchSpace
 from ..telemetry import EventKind
 from .bracket import Bracket
 from .scheduler import Scheduler
-from .types import Config, Job, TrialStatus
+from .types import Job, TrialStatus
 
 __all__ = ["SynchronousSHA"]
 
@@ -127,10 +125,6 @@ class SynchronousSHA(Scheduler):
         Optional :class:`~repro.searchers.base.Searcher` proposing base-rung
         configurations and receiving every rung result — ``KDESearcher``
         here *is* BOHB.  Default ``None``: uniform random sampling.
-    sampler:
-        Legacy escape hatch: a bare ``sampler(rng) -> config`` callable,
-        wrapped in a feedback-less searcher.  Mutually exclusive with
-        ``searcher``.
     """
 
     def __init__(
@@ -146,12 +140,7 @@ class SynchronousSHA(Scheduler):
         grow_brackets: bool = False,
         from_checkpoint: bool = True,
         searcher: Searcher | None = None,
-        sampler: Callable[[np.random.Generator], Config] | None = None,
     ):
-        if sampler is not None:
-            if searcher is not None:
-                raise ValueError("pass either searcher= or the legacy sampler=, not both")
-            searcher = FunctionSearcher(sampler)
         super().__init__(space, rng, searcher=searcher)
         if max_resource is None:
             raise ValueError("synchronous SHA requires a finite max_resource")

@@ -1,7 +1,7 @@
 """Per-figure reproduction drivers and the experiment registry."""
 
 from . import figures
-from .methods import MethodSettings, standard_methods
+from .methods import MethodSettings, method_factory, standard_methods
 from .parallel import JOBS_ENV_VAR, parallel_map, resolve_jobs
 from .runner import (
     aggregate_methods,
@@ -20,6 +20,7 @@ __all__ = [
     "aggregate_methods",
     "figures",
     "get_spec",
+    "method_factory",
     "parallel_map",
     "resolve_jobs",
     "run_methods",

@@ -24,16 +24,7 @@ from ..analysis.mispromotion import MispromotionStudy, mispromotion_curve
 from ..analysis.results import AggregateCurve, RunRecord, aggregate
 from ..analysis.tracker import IncumbentTrace, trace_incumbent
 from ..backend.simulation import SimulatedCluster
-from ..core import (
-    ASHA,
-    PBT,
-    AsyncHyperband,
-    Fabolas,
-    Hyperband,
-    RandomSearch,
-    SynchronousSHA,
-    VizierGP,
-)
+from ..core import ASHA, Fabolas, Hyperband, RandomSearch, SynchronousSHA
 from ..core.bracket import Bracket, sha_rung_schedule
 from ..objectives import (
     cifar_convnet,
@@ -46,7 +37,8 @@ from ..objectives import (
 )
 from ..objectives.base import Objective
 from ..objectives.surrogate import SurrogateObjective
-from .methods import MethodSettings, standard_methods
+from ..searchers import FunctionSearcher
+from .methods import MethodSettings, method_factory, standard_methods
 from .parallel import parallel_map
 from .runner import aggregate_methods, run_methods
 from .toys import FIGURE2_QUALITIES, scripted_sampler, toy_objective
@@ -108,7 +100,7 @@ def figure2_traces() -> dict[str, list[tuple[int, int]]]:
                 min_resource=1.0,
                 max_resource=9.0,
                 eta=3,
-                sampler=scripted_sampler(FIGURE2_QUALITIES),
+                searcher=FunctionSearcher(scripted_sampler(FIGURE2_QUALITIES)),
                 from_checkpoint=False,
             )
         else:
@@ -119,7 +111,7 @@ def figure2_traces() -> dict[str, list[tuple[int, int]]]:
                 max_resource=9.0,
                 eta=3,
                 max_trials=9,
-                sampler=scripted_sampler(FIGURE2_QUALITIES),
+                searcher=FunctionSearcher(scripted_sampler(FIGURE2_QUALITIES)),
                 from_checkpoint=False,
             )
         jobs: list[tuple[int, int]] = []
@@ -286,28 +278,14 @@ def figure5(
     r_max = ptb_lstm.R
     time_limit = horizon_multiple * r_max
 
-    def asha_factory(objective, rng):
-        return ASHA(objective.space, rng, min_resource=r_max / 64.0, max_resource=r_max, eta=4)
-
-    def hb_factory(objective, rng):
-        return AsyncHyperband(
-            objective.space, rng, min_resource=r_max / 64.0, max_resource=r_max, eta=4, brackets=4
-        )
-
-    def vizier_factory(objective, rng):
-        return VizierGP(
-            objective.space,
-            rng,
-            max_resource=r_max,
-            loss_cap=vizier_loss_cap,
-            refit_every=25,
-            max_fit_points=250,
-        )
-
+    geometry = {"min_resource": r_max / 64.0, "max_resource": r_max, "eta": 4}
+    vizier = {"loss_cap": vizier_loss_cap, "refit_every": 25, "max_fit_points": 250}
     factories = {
-        "ASHA": asha_factory,
-        "Hyperband (Loop Brackets)": hb_factory,
-        "Vizier": vizier_factory,
+        "ASHA": method_factory("asha", **geometry),
+        "Hyperband (Loop Brackets)": method_factory(
+            "async_hyperband", kwargs={"brackets": 4}, **geometry
+        ),
+        "Vizier": method_factory("vizier", kwargs=vizier, **geometry),
     }
     records = run_methods(
         factories,
@@ -345,20 +323,13 @@ def figure6(
     r_max = ptb_awd_lstm.R
     time_limit = horizon_multiple * r_max
 
-    def asha_factory(objective, rng):
-        return ASHA(objective.space, rng, min_resource=1.0, max_resource=r_max, eta=4)
-
-    def pbt_factory(objective, rng):
-        return PBT(
-            objective.space,
-            rng,
-            max_resource=r_max,
-            interval=8.0,
-            population_size=20,
-        )
-
+    geometry = {"min_resource": 1.0, "max_resource": r_max, "eta": 4}
+    factories = {
+        "PBT": method_factory("pbt", kwargs={"interval": 8.0, "population_size": 20}, **geometry),
+        "ASHA": method_factory("asha", **geometry),
+    }
     records = run_methods(
-        {"PBT": pbt_factory, "ASHA": asha_factory},
+        factories,
         lambda seed: ptb_awd_lstm.make_objective(seed_salt=seed),
         num_workers=num_workers,
         time_limit=time_limit,
@@ -375,19 +346,14 @@ def figure6(
 # --------------------------------------------------------------------------
 
 
-def _robustness_schedulers(objective: Objective, rng: np.random.Generator):
-    """SHA and ASHA with the Appendix A.1 settings (eta=4, r=1, R=256, n=256)."""
-    sha = SynchronousSHA(
-        objective.space,
-        rng,
-        n=256,
-        min_resource=1.0,
-        max_resource=256.0,
-        eta=4,
-        grow_brackets=True,
-    )
-    asha = ASHA(objective.space, rng, min_resource=1.0, max_resource=256.0, eta=4)
-    return {"SHA": sha, "ASHA": asha}
+#: SHA and ASHA with the Appendix A.1 settings (eta=4, r=1, R=256, n=256).
+_ROBUSTNESS_GEOMETRY = {"min_resource": 1.0, "max_resource": 256.0, "eta": 4}
+_ROBUSTNESS_METHODS = {
+    "SHA": method_factory(
+        "sha", kwargs={"n": 256, "grow_brackets": True}, **_ROBUSTNESS_GEOMETRY
+    ),
+    "ASHA": method_factory("asha", **_ROBUSTNESS_GEOMETRY),
+}
 
 
 @dataclass(frozen=True)
@@ -408,7 +374,7 @@ def _run_robustness_task(task: _RobustnessTask) -> tuple[int, float | None]:
     """(completion count, first completion time) of one robustness sim."""
     objective = sim_workload.make_objective(seed_salt=task.sim)
     rng = np.random.default_rng(task.sim)
-    scheduler = _robustness_schedulers(objective, rng)[task.name]
+    scheduler = _ROBUSTNESS_METHODS[task.name](objective, rng)
     cluster = SimulatedCluster(
         task.num_workers,
         straggler_std=task.std,
@@ -659,7 +625,7 @@ def claim_wallclock() -> dict[str, float]:
             max_resource=9.0,
             eta=3,
             max_trials=9,
-            sampler=scripted_sampler(FIGURE2_QUALITIES),
+            searcher=FunctionSearcher(scripted_sampler(FIGURE2_QUALITIES)),
             from_checkpoint=from_checkpoint,
         )
         cluster = SimulatedCluster(9, seed=0)

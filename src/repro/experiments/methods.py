@@ -3,32 +3,27 @@
 Appendix A.3 fixes the settings shared by Sections 4.1 and 4.2: SHA and
 BOHB with ``n = 256, eta = 4, s = 0, r = R/256``; Hyperband looping five
 brackets; ASHA/async-Hyperband with the same geometry; PBT with population
-25, perturbation interval 1000 iterations, truncation fraction 20%.  These
-helpers build ``(objective, rng) -> Scheduler`` factories so every figure
-bench assembles methods identically.
+25, perturbation interval 1000 iterations, truncation fraction 20%.  Every
+method is a row of the scheduler registry (plus, for the combinations, a
+searcher name), so this module holds no constructor call of its own:
+:func:`standard_methods` names the rows and fills their keyword arguments
+from a :class:`MethodSettings`, and :func:`method_factory` turns a row into
+the ``(objective, rng) -> Scheduler`` factory every figure bench runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
-from ..core import (
-    ASHA,
-    BOHB,
-    PBT,
-    AsyncHyperband,
-    Hyperband,
-    RandomSearch,
-    Scheduler,
-    SynchronousSHA,
-)
+from ..core.registry import build_scheduler
+from ..core.scheduler import Scheduler
 from ..objectives.base import Objective
-from ..searchers import GPEISearcher, KDESearcher
+from ..searchers.registry import build_searcher
 from .runner import SchedulerFactory
 
-__all__ = ["standard_methods", "MethodSettings"]
+__all__ = ["MethodSettings", "method_factory", "standard_methods"]
 
 
 class MethodSettings:
@@ -60,6 +55,32 @@ class MethodSettings:
         self.grow_brackets = grow_brackets
 
 
+def method_factory(
+    name: str,
+    *,
+    min_resource: float,
+    max_resource: float,
+    eta: int,
+    kwargs: dict[str, Any] | None = None,
+    searcher: str | None = None,
+) -> SchedulerFactory:
+    """An ``(objective, rng) -> Scheduler`` factory for one registry row."""
+
+    def factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
+        return build_scheduler(
+            name,
+            objective.space,
+            rng,
+            min_resource=min_resource,
+            max_resource=max_resource,
+            eta=eta,
+            kwargs=dict(kwargs or {}),
+            searcher=None if searcher is None else build_searcher(searcher),
+        )
+
+    return factory
+
+
 def standard_methods(
     settings: MethodSettings, include: Iterable[str] | None = None
 ) -> dict[str, SchedulerFactory]:
@@ -69,111 +90,41 @@ def standard_methods(
     ``PBT``, ``ASHA``, ``Hyperband (async)``, ``BOHB`` — plus the
     scheduler x searcher combinations the conclusion gestures at:
     ``ASHA (KDE)`` (asynchronous BOHB) and ``ASHA (GP)`` (MOBSTER-family).
+    ``docs/searchers.md`` tabulates what each name resolves to.
     """
     s = settings
-
-    def random_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return RandomSearch(objective.space, rng, max_resource=s.max_resource)
-
-    def sha_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return SynchronousSHA(
-            objective.space,
-            rng,
-            n=s.n,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-            early_stopping_rate=s.early_stopping_rate,
-            grow_brackets=s.grow_brackets,
-        )
-
-    def hyperband_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return Hyperband(
-            objective.space,
-            rng,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-        )
-
-    def asha_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return ASHA(
-            objective.space,
-            rng,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-            early_stopping_rate=s.early_stopping_rate,
-        )
-
-    def async_hb_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return AsyncHyperband(
-            objective.space,
-            rng,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-            brackets=s.hyperband_brackets,
-        )
-
-    def bohb_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return BOHB(
-            objective.space,
-            rng,
-            n=s.n,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-            early_stopping_rate=s.early_stopping_rate,
-            grow_brackets=s.grow_brackets,
-        )
-
-    def asha_kde_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return ASHA(
-            objective.space,
-            rng,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-            early_stopping_rate=s.early_stopping_rate,
-            searcher=KDESearcher(),
-        )
-
-    def asha_gp_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return ASHA(
-            objective.space,
-            rng,
-            min_resource=s.min_resource,
-            max_resource=s.max_resource,
-            eta=s.eta,
-            early_stopping_rate=s.early_stopping_rate,
-            searcher=GPEISearcher(),
-        )
-
-    def pbt_factory(objective: Objective, rng: np.random.Generator) -> Scheduler:
-        return PBT(
-            objective.space,
-            rng,
-            max_resource=s.max_resource,
-            interval=s.pbt_interval,
-            population_size=s.pbt_population,
-            frozen=s.pbt_frozen,
-        )
-
-    factories: dict[str, SchedulerFactory] = {
-        "Random": random_factory,
-        "SHA": sha_factory,
-        "Hyperband": hyperband_factory,
-        "PBT": pbt_factory,
-        "ASHA": asha_factory,
-        "ASHA (KDE)": asha_kde_factory,
-        "ASHA (GP)": asha_gp_factory,
-        "Hyperband (async)": async_hb_factory,
-        "BOHB": bohb_factory,
+    sha = {
+        "n": s.n,
+        "early_stopping_rate": s.early_stopping_rate,
+        "grow_brackets": s.grow_brackets,
     }
-    if include is None:
-        return factories
-    missing = set(include) - set(factories)
+    asha = {"early_stopping_rate": s.early_stopping_rate}
+    pbt = {"interval": s.pbt_interval, "population_size": s.pbt_population, "frozen": s.pbt_frozen}
+    # legend -> (scheduler registry name, its kwargs, searcher name)
+    methods: dict[str, tuple[str, dict[str, Any], str | None]] = {
+        "Random": ("random", {}, None),
+        "SHA": ("sha", sha, None),
+        "Hyperband": ("hyperband", {}, None),
+        "PBT": ("pbt", pbt, None),
+        "ASHA": ("asha", asha, None),
+        "ASHA (KDE)": ("asha", asha, "kde"),
+        "ASHA (GP)": ("asha", asha, "gp"),
+        "Hyperband (async)": ("async_hyperband", {"brackets": s.hyperband_brackets}, None),
+        "BOHB": ("bohb", sha, None),
+    }
+    names = list(methods) if include is None else list(include)
+    missing = set(names) - set(methods)
     if missing:
         raise KeyError(f"unknown methods requested: {sorted(missing)}")
-    return {name: factories[name] for name in include}
+    factories = {}
+    for legend in names:
+        name, kwargs, searcher = methods[legend]
+        factories[legend] = method_factory(
+            name,
+            min_resource=s.min_resource,
+            max_resource=s.max_resource,
+            eta=s.eta,
+            kwargs=kwargs,
+            searcher=searcher,
+        )
+    return factories

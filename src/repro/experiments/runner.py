@@ -26,6 +26,7 @@ from ..analysis.results import AggregateCurve, RunRecord, aggregate
 from ..analysis.tracker import trace_incumbent
 from ..backend.process_pool import ProcessPoolBackend
 from ..backend.simulation import SimulatedCluster
+from ..backend.trial_runner import BackendResult
 from ..core.scheduler import Scheduler
 from ..objectives.base import Objective
 from ..objectives.surrogate import SurrogateObjective
@@ -111,8 +112,8 @@ def _ensure_output_dirs(*directories: str | Path | None) -> None:
             Path(directory).mkdir(parents=True, exist_ok=True)
 
 
-def run_trial_task(task: TrialTask) -> RunRecord:
-    """Execute one experiment trial; the unit of work of the parallel engine."""
+def _setup_trial(task: TrialTask) -> tuple[Objective, Scheduler, SimulatedCluster]:
+    """First half of a trial: its seed's objective, scheduler and cluster."""
     seed = task.seed
     objective = task.make_objective(seed)
     rng = np.random.default_rng(seed)
@@ -128,6 +129,26 @@ def run_trial_task(task: TrialTask) -> RunRecord:
         drop_probability=task.drop_probability,
         seed=seed + 10_000,
     )
+    return objective, scheduler, cluster
+
+
+def _trial_record(
+    task: TrialTask, objective: Objective, scheduler: Scheduler, backend_result: BackendResult
+) -> RunRecord:
+    """Second half of a trial: the finished run's incumbent trace, as a record."""
+    evaluate = None
+    if task.offline_validation and isinstance(objective, SurrogateObjective):
+        evaluate = objective.clean_loss_at
+    trace = trace_incumbent(
+        backend_result, scheduler, accounting=task.accounting, evaluate=evaluate
+    )
+    return RunRecord(method=task.method, seed=task.seed, trace=trace, backend=backend_result)
+
+
+def run_trial_task(task: TrialTask) -> RunRecord:
+    """Execute one experiment trial; the unit of work of the parallel engine."""
+    seed = task.seed
+    objective, scheduler, cluster = _setup_trial(task)
     hub = task.telemetry(seed) if task.telemetry is not None else None
     owned_hub = None
     if hub is None and task.telemetry_out is not None:
@@ -148,13 +169,7 @@ def run_trial_task(task: TrialTask) -> RunRecord:
     )
     if owned_hub is not None:
         owned_hub.close()
-    evaluate = None
-    if task.offline_validation and isinstance(objective, SurrogateObjective):
-        evaluate = objective.clean_loss_at
-    trace = trace_incumbent(
-        backend_result, scheduler, accounting=task.accounting, evaluate=evaluate
-    )
-    return RunRecord(method=task.method, seed=seed, trace=trace, backend=backend_result)
+    return _trial_record(task, objective, scheduler, backend_result)
 
 
 def run_trials(
@@ -228,30 +243,24 @@ def run_trials(
         when there are many trials and ``backend="processes"`` when one
         expensive trial dominates.
     """
-    # An explicit telemetry factory wins over telemetry_out (per-task logic
-    # below), so only pre-create the directory when it will actually be used.
-    _ensure_output_dirs(telemetry_out if telemetry is None else None, journal_out)
-    tasks = [
-        TrialTask(
-            method=method,
-            make_scheduler=make_scheduler,
-            make_objective=make_objective,
-            seed=seed,
-            num_workers=num_workers,
-            time_limit=time_limit,
-            straggler_std=straggler_std,
-            drop_probability=drop_probability,
-            accounting=accounting,
-            offline_validation=offline_validation,
-            max_measurements=max_measurements,
-            telemetry=telemetry,
-            telemetry_out=str(telemetry_out) if telemetry_out is not None else None,
-            journal_out=str(journal_out) if journal_out is not None else None,
-            backend=backend,
-        )
-        for seed in seeds
-    ]
-    return parallel_map(run_trial_task, tasks, n_jobs, executor=executor)
+    return run_methods(
+        {method: make_scheduler},
+        make_objective,
+        num_workers=num_workers,
+        time_limit=time_limit,
+        seeds=seeds,
+        straggler_std=straggler_std,
+        drop_probability=drop_probability,
+        accounting=accounting,
+        offline_validation=offline_validation,
+        max_measurements=max_measurements,
+        telemetry=telemetry,
+        telemetry_out=telemetry_out,
+        journal_out=journal_out,
+        n_jobs=n_jobs,
+        executor=executor,
+        backend=backend,
+    )[method]
 
 
 def run_methods(
@@ -281,6 +290,8 @@ def run_methods(
     others.  Output is identical to calling :func:`run_trials` per method.
     """
     seeds = list(seeds)
+    # An explicit telemetry factory wins over telemetry_out (per-task logic in
+    # run_trial_task), so only pre-create the directory when it will be used.
     _ensure_output_dirs(telemetry_out if telemetry is None else None, journal_out)
     tasks = [
         TrialTask(
@@ -348,11 +359,24 @@ def run_studies(
     """
     _ensure_output_dirs(journal_out)
     mux = StudyMultiplexer(fair_share=fair_share, commit_interval=commit_interval)
-    built: list[tuple[int, Scheduler, Objective]] = []
+    built: list[tuple[TrialTask, Objective, Scheduler]] = []
     for seed in seeds:
-        objective = make_objective(seed)
-        rng = np.random.default_rng(seed)
-        scheduler = make_scheduler(objective, rng)
+        task = TrialTask(
+            method=method,
+            make_scheduler=make_scheduler,
+            make_objective=make_objective,
+            seed=seed,
+            num_workers=num_workers,
+            time_limit=time_limit,
+            straggler_std=straggler_std,
+            drop_probability=drop_probability,
+            accounting=accounting,
+            offline_validation=offline_validation,
+            max_measurements=max_measurements,
+        )
+        # The same two halves as run_trial_task, so records match the
+        # sequential path bit for bit; only the driver in between differs.
+        objective, scheduler, cluster = _setup_trial(task)
         runnable: Scheduler | Study = scheduler
         if journal_out is not None:
             runnable = Study(
@@ -361,14 +385,6 @@ def run_studies(
                     journal_path(journal_out, method, seed), writer=mux.journal_writer
                 ),
             )
-        # Same cluster construction as run_trial_task, so records match the
-        # sequential path bit for bit.
-        cluster = SimulatedCluster(
-            num_workers,
-            straggler_std=straggler_std,
-            drop_probability=drop_probability,
-            seed=seed + 10_000,
-        )
         mux.add(
             runnable,
             objective,
@@ -376,22 +392,13 @@ def run_studies(
             time_limit=time_limit,
             max_measurements=max_measurements,
         )
-        built.append((seed, scheduler, objective))
+        built.append((task, objective, scheduler))
     if not built:
         return []
-    results = mux.run()
-    records = []
-    for (seed, scheduler, objective), backend_result in zip(built, results):
-        evaluate = None
-        if offline_validation and isinstance(objective, SurrogateObjective):
-            evaluate = objective.clean_loss_at
-        trace = trace_incumbent(
-            backend_result, scheduler, accounting=accounting, evaluate=evaluate
-        )
-        records.append(
-            RunRecord(method=method, seed=seed, trace=trace, backend=backend_result)
-        )
-    return records
+    return [
+        _trial_record(task, objective, scheduler, backend_result)
+        for (task, objective, scheduler), backend_result in zip(built, mux.run())
+    ]
 
 
 def aggregate_methods(

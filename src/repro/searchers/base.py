@@ -65,10 +65,11 @@ class Searcher(ABC):
     ----------
     record_origin:
         Whether :attr:`origin` exposes the proposal origin for telemetry.
-        Searchers constructed *internally* by legacy composite schedulers
-        (BOHB, VizierGP) switch this off so their seeded telemetry streams
-        stay byte-identical with the pre-refactor recordings; searchers
-        attached explicitly (``tune(..., searcher=...)``) record origins.
+        The default searchers of the ``"bohb"`` and ``"gp"`` scheduler
+        registry rows switch this off so the comparators' seeded telemetry
+        streams stay byte-identical with the recordings that predate the
+        origin tag; searchers attached explicitly
+        (``tune(..., searcher=...)``) record origins.
     """
 
     def __init__(self, *, record_origin: bool = True):

@@ -1,8 +1,7 @@
 """GP-EI proposal with constant-liar batching — Vizier's model, extracted.
 
-The Gaussian-process expected-improvement machinery that powered the
-:class:`~repro.core.vizier.VizierGP` comparator (Golovin et al. [2017]) as a
-standalone :class:`Searcher`:
+The Gaussian-process expected-improvement machinery of the Vizier
+comparator (Golovin et al. [2017]) as a standalone :class:`Searcher`:
 
 * a Matern-5/2 GP over unit-cube-encoded configurations;
 * expected improvement maximised over a fresh uniform candidate pool;
@@ -14,8 +13,10 @@ Paired with ASHA this is an asynchronous model-based tuner in the MOBSTER
 family [Klein et al., 2020]: promotions stay asynchronous while the GP is
 fit to each trial's **highest-fidelity** observation so far (a multi-fidelity
 observation policy in the spirit of Hyper-Tune [Li et al., 2022]).  Paired
-with a full-budget scheduler it reproduces the paper's Vizier stand-in
-exactly — seeded trial streams match the pre-refactor ``VizierGP``.
+with the full-budget :class:`~repro.core.random_search.RandomSearch` it *is*
+the paper's Vizier stand-in (the ``"gp"``/``"vizier"`` scheduler registry
+row) — Section 4.3 compares against Vizier "without the performance curve
+early-stopping rule", i.e. every proposal trains to ``R``.
 
 Speed knobs (``refit_every``, ``max_fit_points``) carry over unchanged: the
 GP is refit every ``refit_every`` proposals rather than on each one, and is

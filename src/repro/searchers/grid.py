@@ -1,10 +1,11 @@
 """Grid proposal: walk a precomputed axis-aligned lattice, then stop.
 
 The classical non-adaptive baseline as a :class:`Searcher`, so the grid can
-now be paired with *any* scheduler — including early-stopping ones, which
-the standalone :class:`~repro.core.grid_search.GridSearch` scheduler never
-allowed.  A finite searcher: :meth:`is_done` flips once the lattice is
-exhausted and schedulers stop growing new trials while promotions continue.
+be paired with *any* scheduler: classic grid search is the full-budget
+:class:`~repro.core.random_search.RandomSearch` proposing from it, and the
+early-stopping schedulers take it just the same.  A finite searcher:
+:meth:`is_done` flips once the lattice is exhausted and schedulers stop
+growing new trials while promotions continue.
 """
 
 from __future__ import annotations

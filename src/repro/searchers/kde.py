@@ -4,10 +4,10 @@
 configurations are sampled" (Section 4.1).  This searcher *is* that
 difference: one TPE-style KDE model per rung ("budget"), proposals from the
 model of the highest rung with enough observations, a fixed fraction kept
-uniformly random.  Pre-refactor this logic was welded into
-``repro.core.bohb`` as a private ``_RungModels``; as a searcher it composes
-with any scheduler — synchronous SHA reproduces BOHB, ASHA yields the
-asynchronous model-based tuner the paper's conclusion gestures at.
+uniformly random.  As a searcher it composes with any scheduler —
+synchronous SHA proposing from it is BOHB (the ``"bohb"`` scheduler registry
+row), ASHA yields the asynchronous model-based tuner the paper's conclusion
+gestures at.
 """
 
 from __future__ import annotations

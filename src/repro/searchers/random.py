@@ -3,8 +3,8 @@
 Random search over a well-designed space is the baseline every adaptive
 method in the paper is measured against; as a :class:`Searcher` it is
 stateless and ignores all feedback.  :class:`FunctionSearcher` wraps a bare
-``sampler(rng) -> config`` callable (the pre-refactor scheduler escape
-hatch, still used by the scripted Figure-2 replays) in the same protocol.
+``sampler(rng) -> config`` callable (the scripted Figure-2 replays) in the
+same protocol.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class FunctionSearcher(Searcher):
     """Adapt a plain ``sampler(rng) -> config`` callable to the protocol.
 
     Feedback is dropped on the floor — a bare callable has nowhere to put
-    it.  Built by schedulers when given the legacy ``sampler=`` argument, so
-    origin recording defaults off (the stream predates the origin tag).
+    it.  Origin recording defaults off: the scripted streams it replays
+    predate the origin tag.
     """
 
     def __init__(

@@ -17,8 +17,15 @@ from .random import RandomSearcher
 
 __all__ = ["SEARCHERS", "build_searcher"]
 
+_CLASSES: dict[str, type[Searcher]] = {
+    "random": RandomSearcher,
+    "kde": KDESearcher,
+    "gp": GPEISearcher,
+    "grid": GridSearcher,
+}
+
 #: Searcher names accepted by :func:`repro.tune.tune` and :func:`build_searcher`.
-SEARCHERS = ("random", "kde", "gp", "grid")
+SEARCHERS = tuple(_CLASSES)
 
 
 def build_searcher(searcher: str | Searcher, kwargs: dict[str, Any] | None = None) -> Searcher:
@@ -40,13 +47,6 @@ def build_searcher(searcher: str | Searcher, kwargs: dict[str, Any] | None = Non
                 f"searcher instance ({type(searcher).__name__})"
             )
         return searcher
-    options = dict(kwargs or {})
-    if searcher == "random":
-        return RandomSearcher(**options)
-    if searcher == "kde":
-        return KDESearcher(**options)
-    if searcher == "gp":
-        return GPEISearcher(**options)
-    if searcher == "grid":
-        return GridSearcher(**options)
-    raise KeyError(f"unknown searcher {searcher!r}; options: {sorted(SEARCHERS)}")
+    if searcher not in _CLASSES:
+        raise KeyError(f"unknown searcher {searcher!r}; options: {sorted(SEARCHERS)}")
+    return _CLASSES[searcher](**(kwargs or {}))

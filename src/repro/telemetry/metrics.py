@@ -316,7 +316,7 @@ class MetricsReport:
         Derived from the ``proposals.*`` counters a searcher-aware scheduler
         stamps onto ``trial_started`` events (``model_based`` vs
         ``random_fallback``/``grid``).  ``nan`` when no proposal carried an
-        origin — e.g. under default random sampling or legacy composites.
+        origin — e.g. under default random sampling or the ``bohb``/``gp`` rows.
         """
         tagged = sum(
             value for name, value in self.counters.items() if name.startswith("proposals.")

@@ -59,6 +59,19 @@ def test_quartile_band():
     assert curve.hi[0] == pytest.approx(np.percentile(range(8), 75))
 
 
+@pytest.mark.parametrize("band", ["minmax", "quartile"])
+def test_bands_are_inf_where_no_run_has_reported(band, recwarn):
+    """The quartile bands used to come back nan (percentile of an all-inf
+    column interpolates inf - inf), with a numpy RuntimeWarning."""
+    grid = np.array([0.0, 1.0, 2.0])
+    records = [record("m", 0, [(0.5, 0.4)]), record("m", 1, [(1.5, 0.2)])]
+    curve = aggregate("m", records, grid, band=band)
+    assert not recwarn.list
+    assert np.isposinf([curve.lo[0], curve.mean[0], curve.hi[0]]).all()
+    assert np.isfinite(np.r_[curve.lo[1:], curve.mean[1:], curve.hi[1:]]).all()
+    assert curve.lo[2] == pytest.approx({"minmax": 0.2, "quartile": 0.25}[band])
+
+
 def test_time_to_reach():
     grid = np.linspace(0.0, 10.0, 11)
     curve = aggregate("m", [record("m", 0, [(0.0, 1.0), (4.0, 0.3)])], grid)

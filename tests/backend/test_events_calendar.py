@@ -4,8 +4,9 @@ The calendar queue replaced the binary heap on the simulator's hottest path
 (PR: batched ask/tell + calendar core).  Its entire contract is
 *indistinguishability*: identical delivery order (strict ``(time, seq)``
 FIFO tie-break), identical clock advancement, and identical discard
-semantics under any interleaving of operations.  ``HeapEventQueue`` is kept
-in-tree as the behavioural oracle; hypothesis drives both in lockstep.
+semantics under any interleaving of operations.  ``HeapEventQueue`` — the
+heap as it was, in ``heap_event_queue.py`` beside this file — is the
+behavioural oracle; hypothesis drives both in lockstep.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.events import EventQueue, HeapEventQueue, SimEvent
+from heap_event_queue import HeapEventQueue
+
+from repro.backend.events import EventQueue, SimEvent
 
 # Times drawn tie-heavy (coarse grid) and wide (up to 1e9 simulated
 # seconds), plus sub-second jitter — covering one-giant-bucket,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.backend import SimulatedCluster
 from repro.core import ASHA, TrialStatus
 from repro.experiments.toys import scripted_sampler, toy_objective
+from repro.searchers import FunctionSearcher
 
 
 def make_asha(space, rng, **kwargs):
@@ -163,7 +164,10 @@ class TestIsDone:
 class TestAdaptiveSampler:
     def test_sampler_hook_used(self, one_d_space, rng):
         asha = make_asha(
-            one_d_space, rng, sampler=scripted_sampler([0.11, 0.22, 0.33]), max_trials=3
+            one_d_space,
+            rng,
+            searcher=FunctionSearcher(scripted_sampler([0.11, 0.22, 0.33])),
+            max_trials=3,
         )
         jobs = [asha.next_job() for _ in range(3)]
         assert [j.config["quality"] for j in jobs] == [0.11, 0.22, 0.33]

@@ -1,18 +1,41 @@
-"""Tests for BOHB (sync SHA + TPE sampling) and the AsyncBOHB extension."""
+"""Tests for BOHB (sync SHA + TPE sampling) and its asynchronous sibling.
+
+Neither is a class: ``"bohb"`` is a scheduler registry row (synchronous SHA
+proposing from a :class:`KDESearcher`), asynchronous BOHB the pair
+``ASHA`` + ``KDESearcher``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.backend import SimulatedCluster
-from repro.core import ASHA, BOHB, AsyncBOHB, SynchronousSHA
+from repro.core import ASHA, SynchronousSHA, build_scheduler
 from repro.experiments.toys import toy_objective
-from repro.searchers import KDESearcher
+from repro.searchers import KDESearcher, build_searcher
 
 
-def quality_objective():
-    """Loss equals the single hyperparameter: lower x is better."""
-    return toy_objective(max_resource=16.0, constant=True)
+def by_name(scheduler, searcher, space, rng, *, min_resource, max_resource, eta, **kwargs):
+    return build_scheduler(
+        scheduler,
+        space,
+        rng,
+        min_resource=min_resource,
+        max_resource=max_resource,
+        eta=eta,
+        kwargs=kwargs,
+        searcher=None if searcher is None else build_searcher(searcher),
+    )
+
+
+def BOHB(space, rng, **kwargs):
+    """The registry's ``"bohb"`` row."""
+    return by_name("bohb", None, space, rng, **kwargs)
+
+
+def AsyncBOHB(space, rng, **kwargs):
+    """Asynchronous BOHB needs no row: it is ``("asha", "kde")``."""
+    return by_name("asha", "kde", space, rng, **kwargs)
 
 
 def test_bohb_is_sha_with_model_sampling(rng):

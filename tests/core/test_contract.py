@@ -8,20 +8,16 @@ import pytest
 
 from repro.backend import SimulatedCluster
 from repro.core import (
-    ASHA,
-    PBT,
-    AsyncHyperband,
+    SCHEDULERS,
     ContractChecker,
     ContractViolation,
-    GridSearch,
-    Hyperband,
     ParallelAsyncHyperband,
     RandomSearch,
-    SynchronousSHA,
+    build_scheduler,
 )
 from repro.core.types import Job, TrialStatus
 from repro.experiments.toys import toy_objective
-from repro.searchers import GPEISearcher, GridSearcher, KDESearcher, RandomSearcher
+from repro.searchers import SEARCHERS, GridSearcher, RandomSearcher, build_searcher
 
 R = 16.0
 
@@ -117,57 +113,72 @@ class TestCheckerAuditsSearcherProtocol:
             checker.report(checker.next_job(), 0.5)
 
 
-FACTORIES = {
-    "asha": lambda s, rng: ASHA(s, rng, min_resource=1.0, max_resource=R, eta=4),
-    "sha": lambda s, rng: SynchronousSHA(
-        s, rng, n=16, min_resource=1.0, max_resource=R, eta=4, grow_brackets=True
-    ),
-    "hyperband": lambda s, rng: Hyperband(s, rng, min_resource=1.0, max_resource=R, eta=4),
-    "async-hb": lambda s, rng: AsyncHyperband(s, rng, min_resource=1.0, max_resource=R, eta=4),
-    "parallel-hb": lambda s, rng: ParallelAsyncHyperband(
-        s, rng, min_resource=1.0, max_resource=R, eta=4
-    ),
-    "random": lambda s, rng: RandomSearch(s, rng, max_resource=R),
-    "grid": lambda s, rng: GridSearch(s, rng, max_resource=R, points_per_dim=8),
-    "pbt": lambda s, rng: PBT(s, rng, max_resource=R, interval=4.0, population_size=5),
-    # Scheduler x searcher combinations: the protocol audit now also covers
-    # exactly-once on_result forwarding and the exhaustion guard.
-    "asha+kde": lambda s, rng: ASHA(
-        s, rng, min_resource=1.0, max_resource=R, eta=4, searcher=KDESearcher()
-    ),
-    "asha+gp": lambda s, rng: ASHA(
-        s,
-        rng,
-        min_resource=1.0,
-        max_resource=R,
-        eta=4,
-        searcher=GPEISearcher(num_init=6, num_candidates=32),
-    ),
-    "sha+kde": lambda s, rng: SynchronousSHA(
-        s,
-        rng,
-        n=16,
-        min_resource=1.0,
-        max_resource=R,
-        eta=4,
-        grow_brackets=True,
-        searcher=KDESearcher(),
-    ),
-    "asha+grid": lambda s, rng: ASHA(
-        s, rng, min_resource=1.0, max_resource=R, eta=4, searcher=GridSearcher(points_per_dim=6)
-    ),
-    "random+gp": lambda s, rng: RandomSearch(
-        s, rng, max_resource=R, searcher=GPEISearcher(num_init=6, num_candidates=32)
-    ),
+GEOMETRY = dict(min_resource=1.0, max_resource=R, eta=4)
+
+#: ``scheduler_kwargs`` sizing each registry row for the toy budget.
+SCHEDULER_KWARGS = {
+    "sha": {"n": 16, "grow_brackets": True},
+    "bohb": {"n": 16, "grow_brackets": True},
+    "pbt": {"interval": 4.0, "population_size": 5},
+    "gp": {"num_init": 6, "num_candidates": 32, "max_fit_points": 40},
+}
+#: ``searcher_kwargs`` keeping the matrix cheap (GP fits are cubic).
+SEARCHER_KWARGS = {
+    "gp": {"num_init": 6, "num_candidates": 32, "max_fit_points": 40},
+    "grid": {"points_per_dim": 8},
 }
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
+def from_registry(scheduler, searcher):
+    def build(space, rng):
+        return build_scheduler(
+            scheduler,
+            space,
+            rng,
+            kwargs=dict(SCHEDULER_KWARGS.get(scheduler, {})),
+            searcher=searcher and build_searcher(searcher, SEARCHER_KWARGS.get(searcher)),
+            **GEOMETRY,
+        )
+
+    return build
+
+
+#: Every registered scheduler x (no searcher, every registered searcher),
+#: plus the pairs that have no registry name.
+MATRIX = {
+    scheduler + (f"+{searcher}" if searcher else ""): from_registry(scheduler, searcher)
+    for scheduler in SCHEDULERS
+    for searcher in (None, *SEARCHERS)
+}
+MATRIX["parallel-hb"] = lambda s, rng: ParallelAsyncHyperband(s, rng, **GEOMETRY)
+MATRIX["grid"] = lambda s, rng: RandomSearch(
+    s, rng, max_resource=R, searcher=GridSearcher(points_per_dim=8, shuffle=False)
+)
+#: Rows that own their sampling: the registry refuses them a searcher.
+REJECTED = {name for name in MATRIX if name.startswith(("bohb+", "pbt+"))}
+
+
+def test_matrix_spans_the_registry():
+    # No new surface: the names are the ones journals and ``tune`` calls use.
+    assert SCHEDULERS == (
+        "asha", "sha", "hyperband", "async_hyperband", "bohb", "random", "pbt", "gp"
+    )
+    assert SEARCHERS == ("random", "kde", "gp", "grid")
+    assert len(MATRIX) == 8 * 5 + 2 and len(REJECTED) == 2 * 4
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_self_sampling_rows_refuse_a_searcher(name, one_d_space, rng):
+    with pytest.raises(ValueError, match="owns its own sampling"):
+        MATRIX[name](one_d_space, rng)
+
+
+@pytest.mark.parametrize("name", sorted(set(MATRIX) - REJECTED))
 def test_scheduler_honours_contract(name):
     """Full searches under stragglers and drops, protocol-checked throughout."""
     objective = toy_objective(max_resource=R, constant=False)
     rng = np.random.default_rng(17)
-    checker = ContractChecker(FACTORIES[name](objective.space, rng))
+    checker = ContractChecker(MATRIX[name](objective.space, rng))
     cluster = SimulatedCluster(4, seed=17, straggler_std=0.3, drop_probability=0.02)
     result = cluster.run(checker, objective, time_limit=40 * R)
     assert result.measurements

@@ -1,4 +1,8 @@
-"""Tests for the grid-search baseline."""
+"""Tests for the grid-search baseline.
+
+Classic grid search is the pair ``RandomSearch`` + ``GridSearcher``: every
+lattice point trained to ``max_resource``, then done.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,13 @@ import numpy as np
 import pytest
 
 from repro.backend import SimulatedCluster
-from repro.core import GridSearch
+from repro.core import RandomSearch
+from repro.searchers import GridSearcher
 from repro.searchspace import Choice, SearchSpace, Uniform
+
+
+def GridSearch(space, rng, *, max_resource, **grid_kwargs):
+    return RandomSearch(space, rng, max_resource=max_resource, searcher=GridSearcher(**grid_kwargs))
 
 
 def test_validation(one_d_space, rng):
@@ -20,7 +29,7 @@ def test_validation(one_d_space, rng):
 def test_grid_size(rng):
     space = SearchSpace({"a": Choice([1, 2, 3]), "b": Uniform(0.0, 1.0)})
     gs = GridSearch(space, rng, max_resource=9.0, points_per_dim=4)
-    assert gs.grid_size == 12
+    assert gs.searcher.grid_size == 12
 
 
 def test_visits_every_point_once(rng, toy_obj):

@@ -7,6 +7,7 @@ import pytest
 from repro.backend import SimulatedCluster
 from repro.core import SynchronousSHA, TrialStatus
 from repro.experiments.toys import FIGURE2_QUALITIES, scripted_sampler
+from repro.searchers import FunctionSearcher
 
 
 def make_sha(space, rng, **kwargs):
@@ -40,7 +41,9 @@ class TestRungBarrier:
         assert promo.rung == 1
 
     def test_keeps_exactly_top_fraction(self, one_d_space, rng):
-        sha = make_sha(one_d_space, rng, sampler=scripted_sampler(FIGURE2_QUALITIES))
+        sha = make_sha(
+            one_d_space, rng, searcher=FunctionSearcher(scripted_sampler(FIGURE2_QUALITIES))
+        )
         jobs = [sha.next_job() for _ in range(9)]
         for job in jobs:
             sha.report(job, job.config["quality"])

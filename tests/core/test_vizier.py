@@ -1,4 +1,8 @@
-"""Tests for the Vizier stand-in (batched GP-EI)."""
+"""Tests for the Vizier stand-in (batched GP-EI).
+
+The ``"vizier"``/``"gp"`` scheduler registry row: full-budget
+:class:`RandomSearch` proposing from a :class:`GPEISearcher`.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +10,22 @@ import numpy as np
 import pytest
 
 from repro.backend import SimulatedCluster
-from repro.core import VizierGP
+from repro.core import build_scheduler
 from repro.experiments.toys import toy_objective
 from repro.searchspace import SearchSpace, Uniform
 
 
-def make_vizier(space, rng, **kwargs):
-    defaults = dict(max_resource=9.0, num_init=5, num_candidates=64, refit_every=3)
+def make_vizier(space, rng, *, max_resource=9.0, **kwargs):
+    defaults = dict(num_init=5, num_candidates=64, refit_every=3)
     defaults.update(kwargs)
-    return VizierGP(space, rng, **defaults)
+    return build_scheduler(
+        "vizier", space, rng, min_resource=1.0, max_resource=max_resource, eta=3, kwargs=defaults
+    )
 
 
 def test_validation(one_d_space, rng):
     with pytest.raises(ValueError):
-        VizierGP(one_d_space, rng, max_resource=0.0)
+        make_vizier(one_d_space, rng, max_resource=0.0)
 
 
 def test_all_jobs_full_resource(one_d_space, rng):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ASHA, BOHB, PBT, SynchronousSHA
+from repro.core import ASHA, PBT, SynchronousSHA
 from repro.experiments.methods import MethodSettings, standard_methods
 from repro.experiments.toys import toy_objective
+from repro.searchers import GPEISearcher, KDESearcher
 
 
 def test_pbt_interval_defaults_to_thirty_rounds():
@@ -27,8 +28,18 @@ def test_factories_build_requested_types():
     factories = standard_methods(settings)
     assert isinstance(factories["ASHA"](objective, rng), ASHA)
     assert isinstance(factories["SHA"](objective, rng), SynchronousSHA)
-    assert isinstance(factories["BOHB"](objective, rng), BOHB)
     assert isinstance(factories["PBT"](objective, rng), PBT)
+    # The composites are (promotion rule, searcher) pairs, not classes.
+    for legend, rule, searcher, origins in [
+        ("BOHB", SynchronousSHA, KDESearcher, False),
+        ("ASHA (KDE)", ASHA, KDESearcher, True),
+        ("ASHA (GP)", ASHA, GPEISearcher, True),
+    ]:
+        built = factories[legend](objective, rng)
+        assert type(built) is rule
+        assert type(built.searcher) is searcher
+        assert built.searcher.record_origin is origins
+    assert factories["SHA"](objective, rng).searcher is None
 
 
 def test_grow_brackets_flag_propagates():

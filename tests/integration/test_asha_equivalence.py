@@ -17,6 +17,7 @@ import pytest
 from repro.backend import SimulatedCluster
 from repro.core import ASHA, SynchronousSHA
 from repro.experiments.toys import scripted_sampler, toy_objective
+from repro.searchers import FunctionSearcher
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -42,7 +43,7 @@ def test_sequential_asha_matches_sha_promotion_sets(seed):
         min_resource=1.0,
         max_resource=27.0,
         eta=3,
-        sampler=scripted_sampler(qualities),
+        searcher=FunctionSearcher(scripted_sampler(qualities)),
     )
     asha = ASHA(
         objective.space,
@@ -51,7 +52,7 @@ def test_sequential_asha_matches_sha_promotion_sets(seed):
         max_resource=27.0,
         eta=3,
         max_trials=27,
-        sampler=scripted_sampler(qualities),
+        searcher=FunctionSearcher(scripted_sampler(qualities)),
     )
     sha_rungs = run(sha)
     asha_rungs = run(asha)

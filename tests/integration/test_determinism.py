@@ -12,10 +12,24 @@ import numpy as np
 import pytest
 
 from repro.backend import SimulatedCluster
-from repro.core import ASHA, BOHB, PBT, VizierGP
+from repro.core import ASHA, PBT, build_scheduler
 from repro.experiments.toys import toy_objective
 
 R = 16.0
+
+
+def BOHB(space, rng, **kwargs):
+    """The ``"bohb"`` registry row (sync SHA + KDE searcher)."""
+    return build_scheduler(
+        "bohb", space, rng, min_resource=1.0, max_resource=R, eta=4, kwargs=kwargs
+    )
+
+
+def VizierGP(space, rng, **kwargs):
+    """The ``"vizier"`` registry row (full-budget search + GP-EI searcher)."""
+    return build_scheduler(
+        "vizier", space, rng, min_resource=1.0, max_resource=R, eta=4, kwargs=kwargs
+    )
 
 
 def run_search(scheduler_cls, *, scheduler_seed=0, cluster_seed=0, objective=None, **kwargs):
@@ -34,9 +48,9 @@ ASHA_KW = dict(min_resource=1.0, max_resource=R, eta=4)
     "scheduler_cls,kwargs",
     [
         (ASHA, ASHA_KW),
-        (BOHB, dict(n=16, min_resource=1.0, max_resource=R, eta=4, grow_brackets=True)),
+        (BOHB, dict(n=16, grow_brackets=True)),
         (PBT, dict(max_resource=R, interval=4.0, population_size=5)),
-        (VizierGP, dict(max_resource=R, num_init=4, num_candidates=16)),
+        (VizierGP, dict(num_init=4, num_candidates=16)),
     ],
 )
 def test_bit_identical_given_seeds(scheduler_cls, kwargs):

@@ -15,23 +15,23 @@ import pytest
 from repro.backend import SimulatedCluster, ThreadPoolBackend
 from repro.core import (
     ASHA,
-    BOHB,
     PBT,
-    AsyncBOHB,
     AsyncHyperband,
     Fabolas,
     Hyperband,
     RandomSearch,
     SynchronousSHA,
     TrialStatus,
-    VizierGP,
+    build_scheduler,
 )
 from repro.experiments.toys import toy_objective
+from repro.searchers import KDESearcher
 
 R = 16.0
 
 
 def all_schedulers(space, rng):
+    geometry = dict(min_resource=1.0, max_resource=R, eta=4)
     return {
         "asha": ASHA(space, rng, min_resource=1.0, max_resource=R, eta=4),
         "asha-inf": ASHA(space, rng, min_resource=1.0, max_resource=None, eta=4),
@@ -42,11 +42,13 @@ def all_schedulers(space, rng):
         "async-hb": AsyncHyperband(space, rng, min_resource=1.0, max_resource=R, eta=4),
         "random": RandomSearch(space, rng, max_resource=R),
         "pbt": PBT(space, rng, max_resource=R, interval=4.0, population_size=5),
-        "bohb": BOHB(
-            space, rng, n=16, min_resource=1.0, max_resource=R, eta=4, grow_brackets=True
+        "bohb": build_scheduler(
+            "bohb", space, rng, kwargs={"n": 16, "grow_brackets": True}, **geometry
         ),
-        "async-bohb": AsyncBOHB(space, rng, min_resource=1.0, max_resource=R, eta=4),
-        "vizier": VizierGP(space, rng, max_resource=R, num_init=5, num_candidates=32),
+        "async-bohb": ASHA(space, rng, searcher=KDESearcher(), **geometry),
+        "vizier": build_scheduler(
+            "vizier", space, rng, kwargs={"num_init": 5, "num_candidates": 32}, **geometry
+        ),
         "fabolas": Fabolas(
             space, rng, max_resource=R, num_init=4, num_candidates=32, max_trials=150
         ),

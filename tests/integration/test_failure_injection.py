@@ -15,13 +15,12 @@ import pytest
 from repro.backend import SimulatedCluster
 from repro.core import (
     ASHA,
-    BOHB,
     PBT,
     AsyncHyperband,
     Hyperband,
     RandomSearch,
     SynchronousSHA,
-    VizierGP,
+    build_scheduler,
 )
 from repro.experiments.toys import toy_objective
 from repro.objectives.curves import CurveProfile
@@ -32,6 +31,7 @@ R = 16.0
 
 
 def scheduler_zoo(space, rng):
+    geometry = dict(min_resource=1.0, max_resource=R, eta=4)
     return [
         ASHA(space, rng, min_resource=1.0, max_resource=R, eta=4),
         SynchronousSHA(
@@ -41,8 +41,10 @@ def scheduler_zoo(space, rng):
         AsyncHyperband(space, rng, min_resource=1.0, max_resource=R, eta=4),
         RandomSearch(space, rng, max_resource=R),
         PBT(space, rng, max_resource=R, interval=4.0, population_size=5),
-        BOHB(space, rng, n=16, min_resource=1.0, max_resource=R, eta=4, grow_brackets=True),
-        VizierGP(space, rng, max_resource=R, num_init=4, num_candidates=16),
+        build_scheduler("bohb", space, rng, kwargs={"n": 16, "grow_brackets": True}, **geometry),
+        build_scheduler(
+            "vizier", space, rng, kwargs={"num_init": 4, "num_candidates": 16}, **geometry
+        ),
     ]
 
 
@@ -54,7 +56,7 @@ def test_all_schedulers_survive_drops(drop_probability):
             4, seed=5, drop_probability=drop_probability
         )
         result = cluster.run(scheduler, objective, time_limit=40 * R)
-        name = type(scheduler).__name__
+        name = f"{type(scheduler).__name__}+{type(scheduler.searcher).__name__}"
         assert result.failures, name  # failures really were injected
         assert result.measurements, name  # and progress still happened
         assert scheduler.best_trial() is not None, name

@@ -24,16 +24,9 @@ import pytest
 
 from repro.backend.process_pool import ProcessPoolBackend
 from repro.backend.simulation import SimulatedCluster
-from repro.core import (
-    ASHA,
-    BOHB,
-    AsyncBOHB,
-    AsyncHyperband,
-    Hyperband,
-    SynchronousSHA,
-    VizierGP,
-)
+from repro.core import ASHA, AsyncHyperband, Hyperband, SynchronousSHA, build_scheduler
 from repro.experiments.toys import toy_objective, toy_space
+from repro.searchers import KDESearcher
 from repro.telemetry import JSONLSink, TelemetryHub
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -75,38 +68,37 @@ def _async_hyperband():
 
 
 def _bohb():
-    return BOHB(
+    return build_scheduler(
+        "bohb",
         toy_space(),
         np.random.default_rng(9),
-        n=27,
         min_resource=1,
         max_resource=9,
         eta=3,
-        grow_brackets=True,
-        random_fraction=0.2,
+        kwargs={"n": 27, "grow_brackets": True, "random_fraction": 0.2},
     )
 
 
 def _async_bohb():
-    return AsyncBOHB(
+    return ASHA(
         toy_space(),
         np.random.default_rng(11),
         min_resource=1,
         max_resource=9,
         eta=3,
-        random_fraction=0.2,
+        searcher=KDESearcher(random_fraction=0.2, record_origin=False),
     )
 
 
 def _vizier():
-    return VizierGP(
+    return build_scheduler(
+        "vizier",
         toy_space(),
         np.random.default_rng(13),
+        min_resource=1,
         max_resource=9.0,
-        num_init=4,
-        num_candidates=32,
-        refit_every=3,
-        max_trials=24,
+        eta=3,
+        kwargs={"num_init": 4, "num_candidates": 32, "refit_every": 3, "max_trials": 24},
     )
 
 

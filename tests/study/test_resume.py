@@ -22,6 +22,7 @@ from repro.core import ASHA, build_scheduler
 from repro.experiments.toys import toy_objective, toy_space
 from repro.study import JournalWriter, Study, read_journal
 from repro.telemetry import JSONLSink, TelemetryHub
+from repro.tune import FunctionObjective
 
 GOLDEN_TRACE_DIR = Path(__file__).parents[1] / "integration" / "golden"
 
@@ -247,3 +248,35 @@ def test_resume_of_a_journal_that_died_before_its_header(tmp_path, on_disk, mode
     again = Study.resume(path, scheduler=make_scheduler(), mode="restore")
     assert again.num_trials == 1
     again.close()
+
+
+@pytest.mark.parametrize("name", ["bohb", "vizier"])
+def test_header_specs_of_the_composite_names_still_resume(tmp_path, name):
+    """``"bohb"`` and ``"vizier"`` are registry rows now, not classes.
+
+    ``head_specs/<name>.journal.jsonl`` was written by ``tune(...)`` while
+    ``BOHB`` and ``VizierGP`` were still classes of their own (seed 3, two
+    simulated workers, the header specs asserted below).  A bare
+    ``Study.resume`` must rebuild the scheduler from the header and replay
+    the whole job sequence — every ask and tell is verified against the
+    journal — and finish on the very same bytes.
+    """
+    recorded = (Path(__file__).parent / "head_specs" / f"{name}.journal.jsonl").read_bytes()
+    lines = recorded.splitlines(keepends=True)
+    spec = json.loads(lines[0])["spec"]
+    assert (spec["scheduler"], spec["scheduler_kwargs"]) == {
+        "bohb": ("bohb", {"n": 9, "gamma": 0.2, "random_fraction": 0.2}),
+        "vizier": ("vizier", {"num_init": 4, "max_trials": 8}),
+    }[name]
+
+    def train(config, state, from_resource, to_resource):
+        return None, config["quality"] + 1.0 / to_resource
+
+    path = tmp_path / "interrupted.journal.jsonl"
+    path.write_bytes(b"".join(lines[: len(lines) // 2]))
+    study = Study.resume(path)  # no scheduler: the header spec rebuilds it
+    SimulatedCluster(2, seed=3).run(
+        study, FunctionObjective(train, toy_space(), 9.0), time_limit=400.0
+    )
+    study.close()
+    assert path.read_bytes() == recorded

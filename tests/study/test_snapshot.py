@@ -15,21 +15,32 @@ import numpy as np
 import pytest
 
 from repro.backend.checkpoint import CheckpointStore
-from repro.core import build_scheduler
+from repro.core import SCHEDULERS, build_scheduler
 from repro.experiments.toys import toy_objective
 from repro.searchers import build_searcher
 from repro.study import Study
 
+#: The registry rows whose promotion rule serializes its state, plus one
+#: pair with no registry name.
 CASES = {
     "asha": ("asha", {"max_trials": 14}, None),
     "sha": ("sha", {"n": 9}, None),
     "hyperband": ("hyperband", {"max_loops": 1}, None),
+    "bohb": ("bohb", {"n": 9}, None),
     "asha_kde": ("asha", {"max_trials": 14}, "kde"),
+}
+#: The rows that refuse loudly, and the class the refusal names (``gp`` is
+#: stopped by its searcher before its promotion rule is asked).
+UNSUPPORTED = {
+    "async_hyperband": "AsyncHyperband",
+    "random": "RandomSearch",
+    "pbt": "PBT",
+    "gp": "GPEISearcher",
 }
 
 
 def make_study(case: str) -> Study:
-    name, kwargs, searcher_name = CASES[case]
+    name, kwargs, searcher_name = CASES.get(case, (case, {}, None))
     objective = toy_objective()
     searcher = build_searcher(searcher_name, {}) if searcher_name else None
     scheduler = build_scheduler(
@@ -105,6 +116,31 @@ def test_snapshot_preserves_trial_table_and_best(case):
         assert [
             (m.resource, m.loss) for m in rtrial.measurements
         ] == [(m.resource, m.loss) for m in trial.measurements]
+
+
+def test_every_registry_row_is_accounted_for():
+    assert {name for name, _, _ in CASES.values()} | set(UNSUPPORTED) == set(SCHEDULERS)
+
+
+@pytest.mark.parametrize("name", sorted(UNSUPPORTED))
+def test_unsupported_rows_refuse_to_snapshot(name):
+    """Better no snapshot than one that resumes a different search."""
+    objective = toy_objective()
+    study = make_study(name)
+    store = CheckpointStore()
+    for _ in range(3):
+        step(study, store, objective)
+    with pytest.raises(
+        NotImplementedError,
+        match=f"^{UNSUPPORTED[name]} does not support state serialization$",
+    ):
+        study.snapshot()
+
+
+def test_bohb_snapshot_is_typed_by_its_promotion_rule():
+    snapshot = make_study("bohb").snapshot()
+    assert snapshot["scheduler"]["type"] == "SynchronousSHA"
+    assert snapshot["scheduler"]["searcher"]["type"] == "KDESearcher"
 
 
 def test_snapshot_preserves_pause_flag():

@@ -18,6 +18,7 @@ from repro.backend import RetryPolicy, SimulatedCluster, ThreadPoolBackend
 from repro.backend.faults import FailureInjectingObjective
 from repro.core.asha import ASHA
 from repro.experiments.toys import scripted_sampler, toy_objective, toy_space
+from repro.searchers import FunctionSearcher
 from repro.telemetry import InMemorySink, TelemetryHub
 
 #: Payload keys each backend is *allowed* to emit that the other does not.
@@ -51,7 +52,7 @@ def _scripted_asha():
         max_resource=4,
         eta=2,
         max_trials=4,
-        sampler=scripted_sampler([0.1, 0.2, 0.3, 0.4]),
+        searcher=FunctionSearcher(scripted_sampler([0.1, 0.2, 0.3, 0.4])),
     )
 
 

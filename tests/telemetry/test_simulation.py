@@ -24,6 +24,7 @@ from repro.core.asha import ASHA
 from repro.core.sha import SynchronousSHA
 from repro.experiments.runner import run_trials
 from repro.experiments.toys import scripted_sampler, toy_objective, toy_space
+from repro.searchers import FunctionSearcher
 from repro.telemetry import InMemorySink, JSONLSink, MetricsReport, TelemetryHub
 
 
@@ -35,7 +36,7 @@ def _tiny_asha_run():
         max_resource=4,
         eta=2,
         max_trials=4,
-        sampler=scripted_sampler([0.1, 0.2, 0.3, 0.4]),
+        searcher=FunctionSearcher(scripted_sampler([0.1, 0.2, 0.3, 0.4])),
     )
     memory = InMemorySink()
     hub = TelemetryHub.with_metrics(memory)
@@ -196,7 +197,7 @@ class TestSynchronousSHA:
             min_resource=1,
             max_resource=4,
             eta=2,
-            sampler=scripted_sampler([0.1, 0.2, 0.3, 0.4]),
+            searcher=FunctionSearcher(scripted_sampler([0.1, 0.2, 0.3, 0.4])),
         )
         memory = InMemorySink()
         hub = TelemetryHub.with_metrics(memory)

@@ -34,6 +34,7 @@ from repro.backend.faults import FailureInjectingObjective
 from repro.core.asha import ASHA
 from repro.experiments.runner import run_trials, telemetry_event_path
 from repro.experiments.toys import scripted_sampler, toy_objective, toy_space
+from repro.searchers import FunctionSearcher
 from repro.telemetry import (
     JSONLSink,
     MetricsReport,
@@ -55,7 +56,7 @@ def _tiny_retry_run(sink=None):
         max_resource=4,
         eta=2,
         max_trials=4,
-        sampler=scripted_sampler([0.1, 0.2, 0.3, 0.4]),
+        searcher=FunctionSearcher(scripted_sampler([0.1, 0.2, 0.3, 0.4])),
     )
     objective = FailureInjectingObjective(
         toy_objective(max_resource=4.0),

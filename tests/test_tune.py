@@ -70,7 +70,8 @@ def test_unknown_names_rejected():
 
 
 def test_vizier_aliases_gp():
-    from repro.core import VizierGP
+    from repro.core import RandomSearch
+    from repro.searchers import GPEISearcher
 
     result = tune(
         quadratic_train,
@@ -80,7 +81,9 @@ def test_vizier_aliases_gp():
         scheduler_kwargs={"max_trials": 8},
         time_limit=1e6,
     )
-    assert isinstance(result.scheduler, VizierGP)
+    # The Vizier stand-in is full-budget search proposing from the GP.
+    assert type(result.scheduler) is RandomSearch
+    assert type(result.scheduler.searcher) is GPEISearcher
     assert result.num_trials == 8
 
 
@@ -129,6 +132,27 @@ def test_scheduler_searcher_combinations_run(scheduler, searcher):
     )
     assert result.best_config is not None
     assert result.num_trials > 0
+
+
+def test_hyperband_with_a_finite_searcher_terminates():
+    """Regression: once the grid ran dry every fresh SHA bracket was born
+    done, and ``Hyperband.next_job`` recursed through them until
+    ``RecursionError``."""
+    result = tune(
+        quadratic_train,
+        SPACE,
+        max_resource=16.0,
+        scheduler="hyperband",
+        searcher="grid",
+        searcher_kwargs={"points_per_dim": 20},  # bracket 0 holds 16: spills into bracket 1
+        num_workers=2,
+        time_limit=1e6,
+    )
+    assert result.scheduler.is_done()
+    assert result.scheduler.next_job() is None
+    proposed = sorted(t.config["x"] for t in result.scheduler.trials.values())
+    assert proposed == pytest.approx([i / 19 for i in range(20)])  # each point exactly once
+    assert result.scheduler.completed_brackets == 2
 
 
 def test_searcher_on_threads_backend():
