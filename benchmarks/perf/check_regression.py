@@ -7,36 +7,39 @@ Usage::
         --current BENCH_perf.json [--threshold 2.0] \
         [--markdown trend.md] [--no-gate]
 
-Two independent checks run over every gated benchmark:
+Three independent checks run over every gated benchmark:
 
 * **ratio** — the *normalized* (calibration-scaled, higher-is-better) score
   must not fall below ``baseline / threshold``; the default threshold of 2.0
   tolerates machine noise and CI-runner variance while catching genuine
   slowdowns.
-* **floor** — benchmarks carrying ``meta.floor`` (the parallel-speedup
-  suite) must keep their *raw* value at or above it, regardless of what the
-  baseline recorded.  A floor failure names the benchmark, its value, and
-  the floor it missed.
+* **floor** — benchmarks carrying ``meta.floor`` (``multiplex_speedup``)
+  must keep their *raw* value at or above it, regardless of what the
+  baseline recorded.
 * **ceiling** — the dual of the floor, for benchmarks whose raw value is a
   cost that must stay *small* (``observability_overhead``: the enabled-probe
-  slowdown ratio).  ``meta.ceiling`` fails the gate when the raw value rises
-  above it, again independent of the baseline.
+  slowdown ratio).
+
+Floors and ceilings are held against the entry's **band**, ``value ±
+meta.iqr / 2`` (the median of its rounds and their interquartile spread,
+printed for every row).  A bound is *broken* — the gate fails, naming the
+benchmark, its band and the bound — only when the whole band lies beyond
+it.  A median beyond the bound with the bound still inside the band is
+printed ``unresolved`` and does not fail: one run cannot tell that from
+noise, and a committed artifact is one run, not the best of several.
 
 Benchmarks whose ``meta.gated`` is ``false`` are reported but never fail the
-gate, as are benchmarks present only in the *baseline* (retired benches)
-and benchmarks *skipped* on either side (``value: null`` with
-``meta.skip_reason`` — e.g. parallel speedups on a runner with too few
-cores; the skip reason is printed so the gap is loud, per the schema-v2
-contract).
+gate, as are benchmarks present only in the *baseline* (retired benches, or
+a partial ``--only`` report).
 
 A gated benchmark present in the *current* report but absent from the
 baseline is a clear gate error, not a silent "only in current" row: the
 baseline is stale (a new benchmark landed without regenerating it), and
-until it is regenerated the gate cannot vouch for that benchmark's ratio —
-and would silently skip its ``meta.floor``.  The failure message says
-exactly how to fix it.  Malformed entries (missing the schema's required
-keys) are likewise reported as named gate errors instead of crashing with
-a ``KeyError`` traceback.
+until it is regenerated the gate cannot vouch for that benchmark's ratio.
+The failure message says exactly how to fix it.  Malformed entries (missing
+the schema's required keys, or a ``null`` where a number belongs) are
+likewise reported as named gate errors instead of crashing with a
+traceback.
 
 ``--markdown FILE`` appends the comparison as a GitHub-flavoured delta table
 (for ``$GITHUB_STEP_SUMMARY``); ``--no-gate`` prints everything but always
@@ -51,6 +54,10 @@ import json
 import sys
 
 
+#: Row statuses that fail the gate (the rest are informational).
+_FAILING = ("REGRESSION", "BELOW FLOOR", "ABOVE CEILING", "MISSING FROM BASELINE", "MALFORMED")
+
+
 def load(path: str) -> dict:
     with open(path) as fh:
         report = json.load(fh)
@@ -59,17 +66,11 @@ def load(path: str) -> dict:
     return report
 
 
-def _is_skipped(entry: dict | None) -> bool:
-    return entry is not None and (
-        entry.get("value") is None or entry.get("meta", {}).get("skipped", False)
-    )
-
-
 def compare(baseline: dict, current: dict, threshold: float) -> tuple[list[dict], list[str]]:
     """Per-benchmark comparison rows plus the list of gate failures.
 
     Rows carry everything both renderers (console table, markdown table)
-    need: scores, ratio, and a human-readable status.
+    need: the raw band, scores, ratio, and a human-readable status.
     """
     rows: list[dict] = []
     failures: list[str] = []
@@ -77,16 +78,18 @@ def compare(baseline: dict, current: dict, threshold: float) -> tuple[list[dict]
     for name in names:
         base_entry = baseline["benchmarks"].get(name)
         cur_entry = current["benchmarks"].get(name)
-        row = {"name": name, "base": None, "cur": None, "ratio": None, "status": "ok"}
+        row = dict(name=name, value="—", base=None, cur=None, ratio=None, status="ok")
         rows.append(row)
         try:
             _compare_one(name, base_entry, cur_entry, threshold, row, failures)
-        except KeyError as exc:
-            # A malformed entry (missing "value"/"normalized"/"unit") must
-            # name itself in the gate output, not die as a traceback.
+        except (KeyError, TypeError) as exc:
+            # A malformed entry (missing "value"/"normalized"/"unit", or a
+            # null in their place) must name itself in the gate output, not
+            # die as a traceback.
             row["status"] = "MALFORMED"
+            problem = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
             failures.append(
-                f"{name}: report entry is missing required key {exc} — "
+                f"{name}: report entry is malformed ({problem}) — "
                 "regenerate the file with benchmarks/perf/run_perf.py"
             )
     return rows, failures
@@ -102,39 +105,42 @@ def _compare_one(
 ) -> None:
     """Fill one comparison row; append any gate failure for this benchmark."""
     if cur_entry is None:
-        # A benchmark only the baseline knows was retired (or renamed):
-        # nothing to measure against, never a failure.
+        # A benchmark only the baseline knows was retired (or left out by
+        # ``--only``): nothing to measure against, never a failure.
         row["status"] = "only in baseline"
         return
+    meta = {**(base_entry or {}).get("meta", {}), **cur_entry.get("meta", {})}
+    gated = meta.get("gated", True)
+    value, unit = cur_entry["value"], cur_entry["unit"]
+    half = meta.get("iqr", 0.0) / 2.0
+    band = f"{value:.4f} ± {half:.4f} {unit}"
+    row.update(cur=cur_entry["normalized"], value=band)
+    # Hard bounds on the raw value, independent of the baseline.  ``short``
+    # is how far the median lies on the wrong side of its bound.
+    broken = False
+    for kind, word, bound, sign in (
+        ("floor", "below", meta.get("floor"), -1.0),
+        ("ceiling", "above", meta.get("ceiling"), 1.0),
+    ):
+        short = 0.0 if bound is None else sign * (value - bound)
+        if short <= 0:
+            continue
+        if short <= half:
+            row["status"] = f"unresolved: {kind} {bound} lies inside the band"
+        elif gated:
+            broken = True
+            row["status"] = f"{word} {kind}".upper()
+            failures.append(f"{name}: {band} is wholly {word} its hard {kind} of {bound} {unit}")
+        else:
+            row["status"] = f"{word} informational {kind} {bound}"
     if base_entry is None:
         # The current report measures a benchmark the baseline has never
-        # seen: the committed baseline is stale.  For a gated benchmark
-        # that is a hard error — the ratio check cannot run, and skipping
-        # silently would also skip any meta.floor the new benchmark
-        # carries.
-        meta = cur_entry.get("meta", {})
-        if _is_skipped(cur_entry):
-            reason = meta.get("skip_reason", "no reason recorded")
-            row["status"] = f"only in current (skipped: {reason})"
-            return
-        row["cur"] = cur_entry["normalized"]
-        floor = meta.get("floor")
-        ceiling = meta.get("ceiling")
-        if floor is not None and cur_entry["value"] < floor and meta.get("gated", True):
-            row["status"] = "BELOW FLOOR"
-            failures.append(
-                f"{name}: value {cur_entry['value']:.4f}{cur_entry['unit']} is below "
-                f"its hard floor of {floor}{cur_entry['unit']} (benchmark is also "
-                "missing from the baseline)"
-            )
-        elif ceiling is not None and cur_entry["value"] > ceiling and meta.get("gated", True):
-            row["status"] = "ABOVE CEILING"
-            failures.append(
-                f"{name}: value {cur_entry['value']:.4f}{cur_entry['unit']} is above "
-                f"its hard ceiling of {ceiling}{cur_entry['unit']} (benchmark is also "
-                "missing from the baseline)"
-            )
-        elif meta.get("gated", True):
+        # seen: the committed baseline is stale, and for a gated benchmark
+        # the ratio check cannot run.  A broken bound is the stronger signal
+        # and keeps the row's status.
+        if not gated:
+            row["status"] = "only in current (ungated)"
+        elif not broken:
             row["status"] = "MISSING FROM BASELINE"
             failures.append(
                 f"{name}: present in the current report but missing from the "
@@ -143,57 +149,13 @@ def _compare_one(
                 "benchmarks/perf/baseline.json) and commit the result so the "
                 "gate can track this benchmark."
             )
-        else:
-            row["status"] = "only in current (ungated)"
-        return
-    meta = {**base_entry.get("meta", {}), **cur_entry.get("meta", {})}
-    gated = meta.get("gated", True)
-    if _is_skipped(cur_entry):
-        # ``meta`` is optional on skipped entries (hand-pruned baselines
-        # and older recorders omit it); indexing it directly raised
-        # KeyError before the comparison could report the skip.
-        reason = cur_entry.get("meta", {}).get("skip_reason", "no reason recorded")
-        row["status"] = f"skipped on current: {reason}"
-        row["base"] = None if _is_skipped(base_entry) else base_entry["normalized"]
-        return
-    row["cur"] = cur_entry["normalized"]
-    # The hard floor binds whenever *this* run measured the benchmark —
-    # a skipped baseline (recorded on a small machine) must not let a
-    # below-floor measurement through.
-    floor = meta.get("floor")
-    if floor is not None and cur_entry["value"] < floor:
-        if gated:
-            row["status"] = "BELOW FLOOR"
-            failures.append(
-                f"{name}: value {cur_entry['value']:.4f}{cur_entry['unit']} is below "
-                f"its hard floor of {floor}{cur_entry['unit']} "
-                f"(n_jobs={meta.get('n_jobs', '?')}, cpu_count={meta.get('cpu_count', '?')})"
-            )
-        else:
-            row["status"] = f"below informational floor {floor}"
-    # The ceiling is the floor's dual: a raw value that must stay *small*
-    # (an overhead ratio), gated independently of the baseline.
-    ceiling = meta.get("ceiling")
-    if ceiling is not None and cur_entry["value"] > ceiling:
-        if gated:
-            row["status"] = "ABOVE CEILING"
-            failures.append(
-                f"{name}: value {cur_entry['value']:.4f}{cur_entry['unit']} is above "
-                f"its hard ceiling of {ceiling}{cur_entry['unit']}"
-            )
-        else:
-            row["status"] = f"above informational ceiling {ceiling}"
-    if _is_skipped(base_entry):
-        reason = base_entry.get("meta", {}).get("skip_reason", "no reason recorded")
-        if row["status"] == "ok":
-            row["status"] = f"skipped on baseline: {reason}"
         return
     base_score = base_entry["normalized"]
     cur_score = cur_entry["normalized"]
     ratio = cur_score / base_score if base_score else float("inf")
     row.update(base=base_score, ratio=ratio)
     if ratio < 1.0 / threshold:
-        if gated and row["status"] not in ("BELOW FLOOR", "ABOVE CEILING"):
+        if gated and not broken:
             row["status"] = "REGRESSION"
             failures.append(
                 f"{name}: normalized {cur_score:.4f} vs baseline "
@@ -208,13 +170,16 @@ def _fmt(score: float | None) -> str:
 
 
 def render_console(rows: list[dict]) -> None:
-    print(f"{'benchmark':26s} {'baseline':>12s} {'current':>12s} {'ratio':>8s}")
+    print(
+        f"{'benchmark':26s} {'value ± iqr/2':>40s} {'baseline':>12s} {'current':>12s} "
+        f"{'ratio':>8s}"
+    )
     for row in rows:
         ratio = f"{row['ratio']:.2f}" if row["ratio"] is not None else "—"
         note = "" if row["status"] == "ok" else f"  [{row['status']}]"
         print(
-            f"{row['name']:26s} {_fmt(row['base']):>12s} {_fmt(row['cur']):>12s} "
-            f"{ratio:>8s}{note}"
+            f"{row['name']:26s} {row['value']:>40s} {_fmt(row['base']):>12s} "
+            f"{_fmt(row['cur']):>12s} {ratio:>8s}{note}"
         )
 
 
@@ -223,37 +188,23 @@ def render_markdown(rows: list[dict], threshold: float) -> str:
     lines = [
         "## Perf trend vs committed baseline",
         "",
-        f"Normalized scores (higher is better); gate threshold {threshold}x.",
+        "Raw value as median ± iqr/2; normalized scores (higher is better); "
+        f"gate threshold {threshold}x.",
         "",
-        "| benchmark | baseline | current | delta | status |",
-        "|---|---:|---:|---:|---|",
+        "| benchmark | value | baseline | current | delta | status |",
+        "|---|---:|---:|---:|---:|---|",
     ]
     for row in rows:
         status = row["status"]
-        if status.startswith("skipped on"):
-            # Small CI machines legitimately skip some benchmarks
-            # (``meta.skipped`` / ``value: null``); say so instead of
-            # rendering a row of null deltas that reads like missing data.
-            side, _, reason = status.partition(": ")
-            side = side.removeprefix("skipped on ")
-            delta = f"skipped on {side}"
-            status = f"⏭️ skipped: {reason or 'no reason recorded'}"
-        elif row["ratio"] is not None:
-            delta = f"{(row['ratio'] - 1.0) * 100:+.1f}%"
-        else:
-            delta = "—"
-        if status in (
-            "REGRESSION",
-            "BELOW FLOOR",
-            "ABOVE CEILING",
-            "MISSING FROM BASELINE",
-            "MALFORMED",
-        ):
+        delta = f"{(row['ratio'] - 1.0) * 100:+.1f}%" if row["ratio"] is not None else "—"
+        if status in _FAILING:
             status = f"❌ {status}"
+        elif status.startswith("unresolved"):
+            status = f"⚠️ {status}"
         elif status == "ok":
             status = "✅"
         lines.append(
-            f"| `{row['name']}` | {_fmt(row['base'])} | {_fmt(row['cur'])} "
+            f"| `{row['name']}` | {row['value']} | {_fmt(row['base'])} | {_fmt(row['cur'])} "
             f"| {delta} | {status} |"
         )
     lines.append("")

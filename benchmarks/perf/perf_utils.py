@@ -1,33 +1,36 @@
-"""Timing, calibration, and schema helpers for the perf-regression harness.
+"""Timing, calibration, and schema helpers for the perf gates.
 
-The harness's job is to notice when the scheduler or simulator hot paths get
-slower, across machines of very different speeds.  Every measured value is
-therefore *normalised* by a calibration score — a fixed pure-Python workload
-timed on the same machine in the same process — before it is compared
-against the committed baseline.  Normalised throughputs are dimensionless
-("how many simulator events per calibration op") and roughly portable
-between a laptop and a CI runner, which raw ops/sec are not.
+The gates compare runs across machines of very different speeds, so every
+throughput and duration is *normalised* by a calibration score — a fixed
+pure-Python workload timed on the same machine in the same process — before
+it is compared against the committed baseline.  Normalised throughputs are
+dimensionless ("how many simulator events per calibration op") and roughly
+portable between a laptop and a CI runner, which raw ops/sec are not.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "SCHEMA_VERSION",
     "benchmark_entry",
     "calibrate",
-    "skipped_entry",
     "time_call",
 ]
 
 #: Bump when the BENCH_perf.json layout changes incompatibly.
-#: v2: benchmarks may be *skipped* (``value``/``normalized`` null with
-#: ``meta.skipped``/``meta.skip_reason``), and gated benchmarks may carry a
-#: hard ``meta.floor`` on the raw value in addition to the baseline-ratio
-#: check.
-SCHEMA_VERSION = 2
+#: v3: every entry is a measured median with its spread (``meta.rounds``,
+#: ``meta.iqr``) — an entry is present or absent, never null — and gated
+#: entries may carry a hard ``meta.floor`` / ``meta.ceiling`` on the raw
+#: value in addition to the baseline-ratio check.
+SCHEMA_VERSION = 3
+
+#: Fewest rounds an entry may be the median of: below five the quartiles
+#: are the extremes and the band says nothing.
+MIN_ROUNDS = 5
 
 
 def time_call(fn: Callable[[], Any], *, repeats: int = 1) -> tuple[float, Any]:
@@ -69,21 +72,28 @@ def calibrate(*, iterations: int = 2_000_000, repeats: int = 3) -> float:
 
 
 def benchmark_entry(
-    value: float,
+    per_round: Sequence[float],
     unit: str,
     *,
     higher_is_better: bool,
     calibration_ops_per_s: float,
     meta: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """One BENCH_perf.json benchmark record, with its normalised score.
+    """One BENCH_perf.json benchmark record: median, spread, normalised score.
 
-    ``normalized`` is always *higher-is-better*: throughputs divide by the
-    calibration score, durations invert first.  The regression gate compares
-    only this field.
+    ``value`` is the median of ``per_round`` and ``meta.iqr`` the distance
+    between the rounds' quartiles — the band ``check_regression.py`` holds
+    floors and ceilings against.  ``normalized`` is always
+    *higher-is-better*: throughputs divide by the calibration score,
+    durations invert first.  The baseline-ratio check compares only this
+    field.
     """
+    if len(per_round) < MIN_ROUNDS:
+        raise ValueError(f"an entry needs >= {MIN_ROUNDS} rounds, got {len(per_round)}")
+    value = statistics.median(per_round)
     if value <= 0:
         raise ValueError(f"benchmark value must be positive, got {value}")
+    q1, _, q3 = statistics.quantiles(per_round, n=4)
     if higher_is_better:
         normalized = value / calibration_ops_per_s
     else:
@@ -93,28 +103,5 @@ def benchmark_entry(
         "unit": unit,
         "higher_is_better": higher_is_better,
         "normalized": normalized,
-        "meta": meta or {},
-    }
-
-
-def skipped_entry(
-    unit: str,
-    *,
-    higher_is_better: bool,
-    reason: str,
-    meta: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """A benchmark record for a measurement this machine cannot take.
-
-    A 1-core runner cannot measure parallel speedup; recording ``null`` with
-    an explicit reason keeps the schema stable while making the gap loud —
-    the regression gate reports skips instead of silently mis-gating a
-    meaningless number (see ISSUE: ``meta.skipped`` / ``meta.skip_reason``).
-    """
-    return {
-        "value": None,
-        "unit": unit,
-        "higher_is_better": higher_is_better,
-        "normalized": None,
-        "meta": {**(meta or {}), "skipped": True, "skip_reason": reason},
+        "meta": {**(meta or {}), "rounds": len(per_round), "iqr": round(q3 - q1, 4)},
     }

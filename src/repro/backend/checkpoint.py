@@ -62,9 +62,6 @@ class CheckpointStore:
     def __len__(self) -> int:
         return len(self._store)
 
-    def resource_of(self, trial_id: int) -> float:
-        return self._store[trial_id][0]
-
     def prepare(self, job: Job) -> None:
         """Snapshot donor state at dispatch (call before the job starts).
 
@@ -250,7 +247,3 @@ class CheckpointStore:
     def discard(self, job: Job) -> None:
         """Drop any dispatch snapshot for a job that will never complete."""
         self._snapshots.pop(job.job_id, None)
-
-    def evict(self, trial_id: int) -> None:
-        """Drop a trial's checkpoint (memory hygiene for long runs)."""
-        self._store.pop(trial_id, None)

@@ -29,7 +29,6 @@ from ..backend.simulation import SimulatedCluster
 from ..backend.trial_runner import BackendResult
 from ..core.scheduler import Scheduler
 from ..objectives.base import Objective
-from ..objectives.surrogate import SurrogateObjective
 from ..study import Journal, Study, StudyMultiplexer
 from ..telemetry import JSONLSink, TelemetryHub
 from .parallel import parallel_map
@@ -57,6 +56,11 @@ TelemetryFactory = Callable[[int], TelemetryHub | None]
 class TrialTask:
     """One ``(method, seed)`` experiment trial, ready to execute anywhere.
 
+    The single statement of what a scenario is: :func:`run_trials`,
+    :func:`run_methods` and :func:`run_studies` take the fields after
+    ``seed`` as keyword options and pass them here unchanged, so an unknown
+    option is this dataclass's ``TypeError``.
+
     The spec itself is a plain frozen dataclass — picklable whenever its
     factories are (module-level functions).  Closure factories still work
     with the default fork-based pool, which inherits the spec instead of
@@ -64,26 +68,37 @@ class TrialTask:
     """
 
     method: str
+    #: ``(objective, rng) -> Scheduler``; the rng is seeded per trial.
     make_scheduler: SchedulerFactory
+    #: ``seed -> Objective``; a fresh benchmark instance per trial.
     make_objective: ObjectiveFactory
     seed: int
     num_workers: int
     time_limit: float
     straggler_std: float = 0.0
     drop_probability: float = 0.0
-    accounting: str = "by_rung"
-    offline_validation: bool = False
     max_measurements: int | None = None
+    #: ``seed -> TelemetryHub | None`` — one hub per trial (e.g. one JSONL
+    #: file per seed).  Each run's metrics report is on its record's
+    #: ``backend.telemetry``; under a process pool the hub lives in the
+    #: worker, so inspect the report (or a file sink), not the hub object.
     telemetry: TelemetryFactory | None = None
-    #: Directory for a per-trial JSONL event export (one file per
-    #: ``(method, seed)``); mutually exclusive with ``telemetry``.
-    telemetry_out: str | None = None
-    #: Directory for a per-trial crash-safety journal (one write-ahead JSONL
-    #: file per ``(method, seed)``); see ``docs/study.md``.
-    journal_out: str | None = None
+    #: Directory for a per-trial JSONL event export
+    #: (``<method>-seed<N>.jsonl``, created on demand), from which
+    #: ``python -m repro.telemetry.trace`` rebuilds a span/timeline trace.
+    #: Ignored when a ``telemetry`` factory is given (it owns sink placement).
+    telemetry_out: str | Path | None = None
+    #: Directory for a per-trial crash-safety journal
+    #: (``<method>-seed<N>.journal.jsonl``).  The trial then runs through a
+    #: journal-backed :class:`~repro.study.Study` and can be resumed with
+    #: ``Study.resume``; see ``docs/study.md``.
+    journal_out: str | Path | None = None
     #: Execution backend for the trial's cluster: ``"simulated"`` (inline
     #: training) or ``"processes"`` (:class:`ProcessPoolBackend` — training
     #: increments run in a fork-based process pool, byte-identical output).
+    #: Orthogonal to ``n_jobs``, which fans out *whole trials*: prefer
+    #: ``n_jobs`` for many trials, ``"processes"`` when one expensive trial
+    #: dominates.
     backend: str = "simulated"
 
 
@@ -133,15 +148,10 @@ def _setup_trial(task: TrialTask) -> tuple[Objective, Scheduler, SimulatedCluste
 
 
 def _trial_record(
-    task: TrialTask, objective: Objective, scheduler: Scheduler, backend_result: BackendResult
+    task: TrialTask, scheduler: Scheduler, backend_result: BackendResult
 ) -> RunRecord:
     """Second half of a trial: the finished run's incumbent trace, as a record."""
-    evaluate = None
-    if task.offline_validation and isinstance(objective, SurrogateObjective):
-        evaluate = objective.clean_loss_at
-    trace = trace_incumbent(
-        backend_result, scheduler, accounting=task.accounting, evaluate=evaluate
-    )
+    trace = trace_incumbent(backend_result, scheduler)
     return RunRecord(method=task.method, seed=task.seed, trace=trace, backend=backend_result)
 
 
@@ -169,118 +179,27 @@ def run_trial_task(task: TrialTask) -> RunRecord:
     )
     if owned_hub is not None:
         owned_hub.close()
-    return _trial_record(task, objective, scheduler, backend_result)
+    return _trial_record(task, scheduler, backend_result)
 
 
 def run_trials(
-    method: str,
-    make_scheduler: SchedulerFactory,
-    make_objective: ObjectiveFactory,
-    *,
-    num_workers: int,
-    time_limit: float,
-    seeds: Iterable[int],
-    straggler_std: float = 0.0,
-    drop_probability: float = 0.0,
-    accounting: str = "by_rung",
-    offline_validation: bool = False,
-    max_measurements: int | None = None,
-    telemetry: TelemetryFactory | None = None,
-    telemetry_out: str | Path | None = None,
-    journal_out: str | Path | None = None,
-    n_jobs: int | None = None,
-    executor=None,
-    backend: str = "simulated",
+    method: str, make_scheduler: SchedulerFactory, make_objective: ObjectiveFactory, **options
 ) -> list[RunRecord]:
     """Run one tuning method across several experiment trials.
 
-    Parameters
-    ----------
-    make_scheduler:
-        ``(objective, rng) -> Scheduler``; the rng is seeded per trial.
-    make_objective:
-        ``seed -> Objective``; a fresh benchmark instance per trial.
-    offline_validation:
-        For surrogate objectives, report the incumbent's *noise-free*
-        from-scratch loss at its trained resource instead of the noisy
-        observation.  Off by default: it misvalues trials whose state was
-        inherited (PBT clones), and the paper's curves track the best
-        observed validation loss anyway.
-    telemetry:
-        Optional ``seed -> TelemetryHub | None`` factory — one hub per
-        experiment trial (e.g. one JSONL file per seed).  Each run's
-        metrics report is reachable via its record's
-        ``backend.telemetry``.  Under a process pool the hub lives in the
-        worker; inspect the returned report (or a file sink), not the hub
-        object itself.
-    telemetry_out:
-        Directory to write one JSONL event file per ``(method, seed)``
-        trial into (``<method>-seed<N>.jsonl``, created on demand), so a
-        span/timeline trace can be rebuilt from any experiment run with
-        ``python -m repro.telemetry.trace``.  Ignored when a ``telemetry``
-        factory is given (the factory owns sink placement then).
-    journal_out:
-        Directory to write one crash-safety journal per ``(method, seed)``
-        trial into (``<method>-seed<N>.journal.jsonl``, created on demand).
-        Each trial then runs through a journal-backed
-        :class:`~repro.study.Study`, so an interrupted experiment can be
-        resumed per trial with ``Study.resume``; see ``docs/study.md``.
-    n_jobs:
-        Trials to run concurrently in separate processes.  ``None`` defers
-        to ``$REPRO_JOBS`` (default 1); ``-1`` means all cores.  Records
-        come back in seed order and are byte-identical to ``n_jobs=1``.
-    executor:
-        Optional pre-built :class:`concurrent.futures.Executor` to submit
-        trials to instead of the engine's own fork pool (tasks must then be
-        picklable); mutually composable with ``n_jobs`` only in the sense
-        that the executor wins when both are given.
-    backend:
-        Per-trial execution backend — ``"simulated"`` (default) or
-        ``"processes"`` for CPU-bound objectives (see
-        :class:`~repro.backend.ProcessPoolBackend`).  Orthogonal to
-        ``n_jobs``, which fans out *whole trials*; the process backend
-        parallelises training *within* one trial, so prefer ``n_jobs``
-        when there are many trials and ``backend="processes"`` when one
-        expensive trial dominates.
+    ``options`` are those of :func:`run_methods`.
     """
-    return run_methods(
-        {method: make_scheduler},
-        make_objective,
-        num_workers=num_workers,
-        time_limit=time_limit,
-        seeds=seeds,
-        straggler_std=straggler_std,
-        drop_probability=drop_probability,
-        accounting=accounting,
-        offline_validation=offline_validation,
-        max_measurements=max_measurements,
-        telemetry=telemetry,
-        telemetry_out=telemetry_out,
-        journal_out=journal_out,
-        n_jobs=n_jobs,
-        executor=executor,
-        backend=backend,
-    )[method]
+    return run_methods({method: make_scheduler}, make_objective, **options)[method]
 
 
 def run_methods(
     methods: Mapping[str, SchedulerFactory],
     make_objective: ObjectiveFactory,
     *,
-    num_workers: int,
-    time_limit: float,
     seeds: Iterable[int],
-    straggler_std: float = 0.0,
-    drop_probability: float = 0.0,
-    accounting: str = "by_rung",
-    offline_validation: bool = False,
-    max_measurements: int | None = None,
-    telemetry: TelemetryFactory | None = None,
-    telemetry_out: str | Path | None = None,
-    journal_out: str | Path | None = None,
     n_jobs: int | None = None,
     executor=None,
-    backend: str = "simulated",
+    **scenario,
 ) -> dict[str, list[RunRecord]]:
     """Run a whole method suite, fanning out across ``(method, seed)`` pairs.
 
@@ -288,32 +207,29 @@ def run_methods(
     method's trials at once instead of parallelising one method at a time —
     at Figure-5 scale the method with the slowest trials no longer gates the
     others.  Output is identical to calling :func:`run_trials` per method.
+
+    ``scenario`` is every :class:`TrialTask` field after ``seed``
+    (``num_workers``, ``time_limit``, ``straggler_std``, ...), documented
+    there.  ``n_jobs`` is the number of trials to run concurrently in
+    separate processes: ``None`` defers to ``$REPRO_JOBS`` (default 1),
+    ``-1`` means all cores; records come back in seed order, byte-identical
+    to ``n_jobs=1``.  ``executor`` is an optional pre-built
+    :class:`concurrent.futures.Executor` to submit trials to instead of the
+    engine's own fork pool (tasks must then be picklable); it wins over
+    ``n_jobs``.
     """
     seeds = list(seeds)
-    # An explicit telemetry factory wins over telemetry_out (per-task logic in
-    # run_trial_task), so only pre-create the directory when it will be used.
-    _ensure_output_dirs(telemetry_out if telemetry is None else None, journal_out)
     tasks = [
-        TrialTask(
-            method=name,
-            make_scheduler=factory,
-            make_objective=make_objective,
-            seed=seed,
-            num_workers=num_workers,
-            time_limit=time_limit,
-            straggler_std=straggler_std,
-            drop_probability=drop_probability,
-            accounting=accounting,
-            offline_validation=offline_validation,
-            max_measurements=max_measurements,
-            telemetry=telemetry,
-            telemetry_out=str(telemetry_out) if telemetry_out is not None else None,
-            journal_out=str(journal_out) if journal_out is not None else None,
-            backend=backend,
-        )
+        TrialTask(name, factory, make_objective, seed, **scenario)
         for name, factory in methods.items()
         for seed in seeds
     ]
+    # An explicit telemetry factory wins over telemetry_out (per-task logic in
+    # run_trial_task), so only pre-create the directory when it will be used.
+    _ensure_output_dirs(
+        scenario.get("telemetry_out") if scenario.get("telemetry") is None else None,
+        scenario.get("journal_out"),
+    )
     records = parallel_map(run_trial_task, tasks, n_jobs, executor=executor)
     out: dict[str, list[RunRecord]] = {name: [] for name in methods}
     for task, record in zip(tasks, records):
@@ -326,17 +242,11 @@ def run_studies(
     make_scheduler: SchedulerFactory,
     make_objective: ObjectiveFactory,
     *,
-    num_workers: int,
-    time_limit: float,
     seeds: Iterable[int],
-    straggler_std: float = 0.0,
-    drop_probability: float = 0.0,
-    accounting: str = "by_rung",
-    offline_validation: bool = False,
-    max_measurements: int | None = None,
     journal_out: str | Path | None = None,
     fair_share: int | None = None,
     commit_interval: int = 64,
+    **scenario,
 ) -> list[RunRecord]:
     """Run one method's trials as concurrent studies in a single multiplexer.
 
@@ -354,26 +264,16 @@ def run_studies(
     :func:`run_trials` with ``n_jobs`` still wins when individual trials
     are heavy enough to want real CPU parallelism.
 
-    ``fair_share`` and ``commit_interval`` are the multiplexer's knobs —
-    see :class:`~repro.study.StudyMultiplexer`.
+    ``scenario`` is the cluster half of :class:`TrialTask` (``num_workers``,
+    ``time_limit``, ``straggler_std``, ``drop_probability``,
+    ``max_measurements``); ``fair_share`` and ``commit_interval`` are the
+    multiplexer's knobs — see :class:`~repro.study.StudyMultiplexer`.
     """
     _ensure_output_dirs(journal_out)
     mux = StudyMultiplexer(fair_share=fair_share, commit_interval=commit_interval)
-    built: list[tuple[TrialTask, Objective, Scheduler]] = []
+    built: list[tuple[TrialTask, Scheduler]] = []
     for seed in seeds:
-        task = TrialTask(
-            method=method,
-            make_scheduler=make_scheduler,
-            make_objective=make_objective,
-            seed=seed,
-            num_workers=num_workers,
-            time_limit=time_limit,
-            straggler_std=straggler_std,
-            drop_probability=drop_probability,
-            accounting=accounting,
-            offline_validation=offline_validation,
-            max_measurements=max_measurements,
-        )
+        task = TrialTask(method, make_scheduler, make_objective, seed, **scenario)
         # The same two halves as run_trial_task, so records match the
         # sequential path bit for bit; only the driver in between differs.
         objective, scheduler, cluster = _setup_trial(task)
@@ -389,15 +289,15 @@ def run_studies(
             runnable,
             objective,
             cluster=cluster,
-            time_limit=time_limit,
-            max_measurements=max_measurements,
+            time_limit=task.time_limit,
+            max_measurements=task.max_measurements,
         )
-        built.append((task, objective, scheduler))
+        built.append((task, scheduler))
     if not built:
         return []
     return [
-        _trial_record(task, objective, scheduler, backend_result)
-        for (task, objective, scheduler), backend_result in zip(built, mux.run())
+        _trial_record(task, scheduler, backend_result)
+        for (task, scheduler), backend_result in zip(built, mux.run())
     ]
 
 

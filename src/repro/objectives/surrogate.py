@@ -170,7 +170,3 @@ class SurrogateObjective(Objective):
     def clean_loss_at(self, config: Config, resource: float) -> float:
         """Noise-free from-scratch loss (ground truth for analysis/tests)."""
         return curve_loss(self.profile(config), resource)
-
-    def best_possible(self, configs: list[Config]) -> float:
-        """Lowest asymptote among ``configs`` (oracle value for diagnostics)."""
-        return min(self.profile(c).asymptote for c in configs)

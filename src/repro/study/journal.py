@@ -309,10 +309,7 @@ class Journal:
 
     def _fsync(self, fh: IO[Any]) -> None:
         started = 0.0 if self._probes is None else perf_counter()
-        try:
-            os.fsync(fh.fileno())
-        except (OSError, ValueError):
-            pass  # not a real file descriptor (tests passing pipes, ...)
+        os.fsync(fh.fileno())  # raises through: a failed sync is not counted
         if self._probes is not None:
             self._probes.fsyncs.inc()
             self._probes.fsync_seconds.observe(perf_counter() - started)

@@ -138,10 +138,6 @@ class TrialTrace:
             times.append(self.abandoned_at)
         return max(times) if times else self.start
 
-    @property
-    def end_to_end_latency(self) -> float:
-        return self.end - self.start
-
     def last_report_time(self) -> float | None:
         """Time of the trial's final successful report, if any."""
         done = [a.end for a in self.attempts if a.completed and a.end is not None]

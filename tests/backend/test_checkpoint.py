@@ -56,7 +56,7 @@ class TestTrainingAndCosts:
         store = CheckpointStore()
         loss = store.run_job(job(resource=3.0), objective)
         assert 0 in store
-        assert store.resource_of(0) == 3.0
+        assert store.start_resource(job(job_id=1, trial_id=1, inherit=0)) == 3.0
         assert loss < 0.9  # the curve decayed
 
     def test_resume_equals_from_scratch(self, objective):
@@ -109,11 +109,3 @@ class TestInheritanceSnapshots:
         _, state = store.starting_state(clone_job, objective)
         state.clean_loss = -1.0
         assert store._store[0][1].clean_loss != -1.0
-
-
-def test_evict(objective):
-    store = CheckpointStore()
-    store.run_job(job(resource=3.0), objective)
-    store.evict(0)
-    assert 0 not in store
-    store.evict(0)  # idempotent

@@ -131,11 +131,6 @@ class TestSurrogateObjective:
         c2 = {"q": 0.3}  # equal contents, different identity
         assert obj.profile(c1) == obj.profile(c2)
 
-    def test_best_possible(self):
-        obj = simple_objective()
-        configs = [{"q": 0.9}, {"q": 0.1}, {"q": 0.5}]
-        assert obj.best_possible(configs) == pytest.approx(0.1)
-
 
 @settings(max_examples=40, deadline=None)
 @given(q=st.floats(0.0, 1.0), r=st.floats(0.0, 16.0))

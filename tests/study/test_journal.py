@@ -380,6 +380,32 @@ def test_wal_fsync_failure_is_not_a_durable_commit(tmp_path, monkeypatch):
         uninstall_runtime_registry()
 
 
+@pytest.mark.parametrize("group_commit", [False, True], ids=["immediate", "group-commit"])
+def test_journal_fsync_failure_is_not_a_durable_finalize(tmp_path, monkeypatch, group_commit):
+    """The solo-journal twin: a finalize whose fsync raises fails, uncounted."""
+    import errno
+
+    from repro.telemetry.runtime import install_runtime_registry, uninstall_runtime_registry
+
+    registry = install_runtime_registry()
+    try:
+        writer = JournalWriter() if group_commit else None  # no WAL: per-file fsync
+        journal = Journal(tmp_path / "j.jsonl", writer=writer)
+        journal.append(RECORDS[0])
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError) as raised:
+            journal.finalize()
+        assert raised.value.errno == errno.EIO
+        counters = registry.snapshot()["counters"]
+        assert counters.get('journal_fsync_total{target="journal"}', 0) == 0
+    finally:
+        uninstall_runtime_registry()
+
+
 def test_wal_corruption_error_names_byte_offset_and_frame_index(tmp_path):
     """A corrupt frame is located precisely: byte offset AND frame index.
 
