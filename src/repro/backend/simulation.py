@@ -195,7 +195,8 @@ class SimRun:
         self.retry_policy = retry_policy
         # Duck-typed objectives in tests may not subclass Objective.
         self.nominal_cost = getattr(objective, "nominal_cost", objective.cost)
-        self.pending_retries: deque[tuple[Job, int]] = deque()
+        # Created by the first retry: an empty deque is 760 bytes a run.
+        self.pending_retries: deque[tuple[Job, int]] | None = None
         # Where training increments actually compute: inline at the
         # completion event for the plain simulator, in worker processes for
         # ProcessPoolBackend.  Closed (pool teardown) when the loop exits.
@@ -446,8 +447,9 @@ class SimRun:
             self.next_worker_id += 1
             return True
         if kind == "retry":
-            job, attempt = event.payload[1]
-            self.pending_retries.append((job, attempt))
+            if self.pending_retries is None:
+                self.pending_retries = deque()
+            self.pending_retries.append(event.payload[1])
             return True
         job, gen = event.payload[1]  # liveness guaranteed by the driver's head check
         if kind == "timeout":

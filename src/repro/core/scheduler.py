@@ -262,11 +262,10 @@ class Scheduler(ABC):
         self.trials[trial.trial_id] = trial
         if self.telemetry:
             extra = {"origin": origin} if origin is not None else {}
-            # The interned canonical form, not a fresh copy: the same dict
-            # object later backs the journal's ask records and the trace
-            # builder, so each config is canonicalised exactly once.  The
-            # bytes every sink emits are unchanged (canonical encoders
-            # sort keys and unwrap numpy scalars either way).
+            # The canonical form, not a fresh copy (for a plain config, the
+            # trial's own dict — see config_state's read-only contract): the
+            # bytes every sink emits are unchanged, canonical encoders sort
+            # keys and unwrap numpy scalars either way.
             self.telemetry.emit(
                 EventKind.TRIAL_STARTED,
                 trial_id=trial.trial_id,

@@ -35,39 +35,26 @@ __all__ = [
 ]
 
 
-# Decoded canonical forms, interned by config identity like the payload
-# cache in objectives.base: the same config is re-stated at every rung's
-# ask record, in trial snapshots, and in trial-started telemetry.  Treat
-# returned dicts as immutable — they are shared.
-_STATE_CACHE: dict[int, tuple[dict[str, Any], dict[str, Any]]] = {}
-_STATE_CACHE_CAP = 65536
 _PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 def config_state(config: dict[str, Any]) -> dict[str, Any]:
     """Canonical JSON-safe form of a config (numpy scalars unwrapped).
 
-    Interned per config object, and configs of plain Python scalars — the
-    overwhelmingly common case, every ``space.sample`` draw — skip the
-    JSON round-trip entirely: encode-then-decode of plain scalars is the
-    identity (canonical encoders re-sort keys themselves, so key order is
-    immaterial).  Exact ``type`` checks keep numpy scalars (which subclass
-    Python's ``float``/``int``) on the canonicalising path.
+    **Read-only contract:** a config of plain Python scalars — the
+    overwhelmingly common case, every ``space.sample`` draw — already *is*
+    its canonical form (encode-then-decode of plain scalars is the identity,
+    and canonical encoders re-sort keys themselves), so it is returned
+    as-is, not copied: callers encode or read the result and never write to
+    it.  Anything handed outside the library is copied first
+    (:func:`trial_state`).  Exact ``type`` checks keep numpy scalars (which
+    subclass Python's ``float``/``int``) on the canonicalising path, which
+    returns a fresh plain dict.
     """
-    key = id(config)
-    hit = _STATE_CACHE.get(key)
-    if hit is not None and hit[0] is config:
-        return hit[1]
     for value in config.values():
         if type(value) not in _PLAIN_TYPES:
-            state = json.loads(config_payload(config))
-            break
-    else:
-        state = dict(config)
-    if len(_STATE_CACHE) >= _STATE_CACHE_CAP:
-        _STATE_CACHE.clear()
-    _STATE_CACHE[key] = (config, state)
-    return state
+            return json.loads(config_payload(config))
+    return config
 
 
 def rng_state(rng: np.random.Generator) -> dict[str, Any]:
@@ -95,7 +82,7 @@ def trial_state(trial: Trial) -> dict[str, Any]:
     """Serialize one trial row: config, status, and measurement history."""
     return {
         "trial_id": trial.trial_id,
-        "config": config_state(trial.config),
+        "config": dict(config_state(trial.config)),
         "status": trial.status.value,
         "resource": trial.resource,
         "measurements": [[m.resource, m.loss, m.time] for m in trial.measurements],

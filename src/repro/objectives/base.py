@@ -33,38 +33,18 @@ from ..searchspace import Config, SearchSpace
 __all__ = ["Objective", "config_payload", "config_seed"]
 
 
-# Interned canonical encodings, keyed by config identity.  A configuration
-# dict is created once (at sampling) and then encoded repeatedly — journal
-# ask records at every rung, surrogate profile/noise seeds, scheduler
-# snapshots — so the canonicalisation is paid once and shared.  The config
-# reference in the value keeps the id stable (and guards against reuse);
-# the cache is cleared wholesale at a size cap to bound memory across many
-# studies in one process.
-_PAYLOAD_CACHE: dict[int, tuple[Config, bytes]] = {}
-_PAYLOAD_CACHE_CAP = 65536
-
-
 def config_payload(config: Config) -> bytes:
-    """The canonical JSON encoding of a configuration (interned).
+    """The canonical JSON encoding of a configuration.
 
     Callers that derive several seeds from the same configuration (e.g. a
     profile seed and a noise seed) encode once and pass the payload to
     :func:`config_seed` — the JSON canonicalisation dominates the hashing.
-    Repeat calls for the *same config object* return the cached bytes;
-    configurations are treated as immutable throughout.
     """
-    key = id(config)
-    hit = _PAYLOAD_CACHE.get(key)
-    if hit is not None and hit[0] is config:
-        return hit[1]
     payload = _encode_plain(config)
     if payload is None:
         payload = json.dumps(
             {k: _canonical(v) for k, v in config.items()}, sort_keys=True
         ).encode()
-    if len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_CAP:
-        _PAYLOAD_CACHE.clear()
-    _PAYLOAD_CACHE[key] = (config, payload)
     return payload
 
 

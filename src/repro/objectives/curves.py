@@ -19,7 +19,7 @@ from dataclasses import dataclass
 __all__ = ["CurveProfile", "curve_loss", "invert_curve", "advance_loss"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveProfile:
     """Everything the surrogate needs to know about one configuration.
 

@@ -108,7 +108,6 @@ class SurrogateObjective(Objective):
         self.max_resource = max_resource
         self.profile_fn = profile_fn
         self.seed_salt = seed_salt
-        self._profile_cache: dict[int, CurveProfile] = {}
         # Hot-path cache keyed by the config dict's identity: trials hold one
         # stable config object for their lifetime, and hashing the dict
         # contents (JSON + blake2b) per job is measurable at 500-worker
@@ -128,10 +127,7 @@ class SurrogateObjective(Objective):
         # (one fresh config per sampled trial at 500-worker scale).
         payload = config_payload(config)
         seed = config_seed(config, salt=self.seed_salt, payload=payload)
-        profile = self._profile_cache.get(seed)
-        if profile is None:
-            profile = self.profile_fn(config, seed)
-            self._profile_cache[seed] = profile
+        profile = self.profile_fn(config, seed)
         noise_seed = config_seed(config, salt=self.seed_salt + 1, payload=payload)
         self._id_cache[key] = (config, profile, noise_seed)
         return profile, noise_seed

@@ -93,8 +93,9 @@ class Study:
         self._replay_tells: dict[int, float] = {}
         # Restore-mode asks the crash left unresolved; re-dispatched by
         # ask() in journal order.  A deque: a restore can leave hundreds of
-        # in-flight asks, and list.pop(0) made re-dispatch quadratic.
-        self._orphaned: deque[Job] = deque()
+        # in-flight asks, and list.pop(0) made re-dispatch quadratic.  None
+        # until a restore leaves some (an empty deque is 760 bytes a study).
+        self._orphaned: deque[Job] | None = None
         # None unless a runtime registry is installed (repro.telemetry.runtime).
         self._probes = runtime.probes("study")
 
@@ -403,7 +404,7 @@ class Study:
     @property
     def orphaned_jobs(self) -> list[Job]:
         """Restore-mode jobs asked before the crash but never resolved."""
-        return list(self._orphaned)
+        return list(self._orphaned or ())
 
     # ------------------------------------------------------------ lifecycle
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -351,7 +352,10 @@ class MetricsCollector:
         self._worker_free_at: dict[int, float] = {}
         self._worker_busy: dict[int, float] = {}
         self._busy_total = 0.0
-        self._utilization_series: list[tuple[float, float]] = []
+        # Cumulative busy time after each credit, as packed columns: one
+        # point per job for as long as the collector lives.
+        self._busy_times = array("d")
+        self._busy_totals = array("d")
         self._elapsed: float | None = None
         self._num_workers: int | None = None
 
@@ -461,7 +465,8 @@ class MetricsCollector:
     def _credit_busy(self, worker: int, amount: float, time: float) -> None:
         self._worker_busy[worker] = self._worker_busy.get(worker, 0.0) + amount
         self._busy_total += amount
-        self._utilization_series.append((time, self._busy_total))
+        self._busy_times.append(time)
+        self._busy_totals.append(self._busy_total)
 
     # ------------------------------------------------------------- results
 
@@ -504,7 +509,7 @@ class MetricsCollector:
             worker_utilization=self.worker_utilization(elapsed),
             utilization_series=[
                 (t, min(total / cluster_denominator, 1.0))
-                for t, total in self._utilization_series
+                for t, total in zip(self._busy_times, self._busy_totals)
             ],
             failure_rate=failed / started if started else 0.0,
             elapsed=elapsed,

@@ -7,6 +7,8 @@ no locking of their own.
 
 from __future__ import annotations
 
+import errno
+import io
 import os
 from typing import IO, Any, Protocol, runtime_checkable
 
@@ -90,18 +92,22 @@ class JSONLSink:
         The hub duck-types ``finalize`` onto any sink exposing it; for a
         JSONL stream the useful end-of-run action is making the bytes
         durable, so a crash *after* a run completes can never lose the tail
-        of its event log.  In-memory buffers (``io.StringIO``) have no file
-        descriptor and skip the fsync.
+        of its event log.  Only a stream with nothing to sync skips it: one
+        without a descriptor (``io.StringIO``) or whose descriptor is a pipe
+        or terminal (``EINVAL``).  A sync that fails on a real file raises.
         """
         if self._closed:
             return
         self._file.flush()
-        fileno = getattr(self._file, "fileno", None)
-        if fileno is not None:
-            try:
-                os.fsync(fileno())
-            except (OSError, ValueError):
-                pass  # not a real file (StringIO, closed pipe, ...)
+        try:
+            fd = self._file.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            return
+        try:
+            os.fsync(fd)
+        except OSError as exc:
+            if exc.errno != errno.EINVAL:
+                raise
 
     def close(self) -> None:
         if self._closed:
@@ -194,7 +200,7 @@ def render_summary(collector: MetricsCollector, *, now: float | None = None) -> 
             bar = "#" * max(int(count / widest * 40), 1)
             lines.append(f"  rung {rung:>2} |{bar:<40}| {count}")
 
-    series = [total for _, total in collector._utilization_series]
+    series = collector._busy_totals
     if series:
         lines.append(f"  busy worker-time {sparkline(series[-60:])} ({series[-1]:g})")
 

@@ -71,7 +71,7 @@ CRITICAL_PATH_KINDS = (
 _FAILURE_KINDS = (EventKind.JOB_FAILED, EventKind.JOB_TIMEOUT)
 
 
-@dataclass
+@dataclass(slots=True)
 class AttemptSpan:
     """One dispatch of one job: worker-attributed, with its outcome.
 
@@ -104,7 +104,7 @@ class AttemptSpan:
         return self.outcome == "completed"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialTrace:
     """Span tree of one trial: lifetime, attempts, promotions, backoffs."""
 
@@ -170,7 +170,7 @@ class TrialTrace:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkerSegment:
     """One contiguous busy or idle stretch on a worker's timeline."""
 
@@ -633,8 +633,8 @@ class TraceBuilder:
         trial.sampled_at = event.time
         config = event.data.get("config")
         if config is not None:
-            # Live events carry the scheduler's interned canonical config;
-            # share it rather than copying (the builder only reads it).
+            # Live events carry the scheduler's canonical config (usually
+            # the trial's own dict); share it, the builder only reads it.
             # JSONL-sourced events decode a fresh dict per line anyway.
             trial.config = config
 

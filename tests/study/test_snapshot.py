@@ -150,3 +150,30 @@ def test_snapshot_preserves_pause_flag():
     restored = Study.restore(snapshot, scheduler=make_study("asha").scheduler)
     assert restored.paused
     assert restored.ask() is None
+
+
+def test_editing_a_snapshot_never_edits_a_live_trial(tmp_path):
+    """``config_state`` hands out the trial's own dict; a snapshot must copy it."""
+    objective = toy_objective()
+    runs = []
+    for name in ("edited", "untouched"):
+        study = Study(make_study("asha").scheduler, journal=tmp_path / f"{name}.jsonl")
+        store = CheckpointStore()
+        for _ in range(7):
+            step(study, store, objective)
+        runs.append((study, store))
+
+    study = runs[0][0]
+    before = {tid: dict(trial.config) for tid, trial in study.trials.items()}
+    for row in study.snapshot()["scheduler"]["trials"].values():
+        row["config"]["quality"] = "clobbered"
+        row["config"]["injected"] = 1
+    assert {tid: trial.config for tid, trial in study.trials.items()} == before
+
+    for study, store in runs:  # later asks re-state promoted trials' configs
+        for _ in range(7):
+            step(study, store, objective)
+        study.close()
+    edited = (tmp_path / "edited.jsonl").read_bytes()
+    assert edited == (tmp_path / "untouched.jsonl").read_bytes()
+    assert edited.count(b'"kind":"ask"') == 14 and b"clobbered" not in edited

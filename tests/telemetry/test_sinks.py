@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +88,27 @@ class TestJSONLSink:
         sink.close()  # idempotent
         with pytest.raises(ValueError, match="closed"):
             sink.write(None)  # type: ignore[arg-type]
+
+    def test_failed_fsync_of_a_real_file_is_not_swallowed(self, tmp_path, monkeypatch):
+        """The rule the WAL and ``Journal._fsync`` follow: a sync that fails raises."""
+        sink = JSONLSink(tmp_path / "events.jsonl")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected fsync failure"):
+            sink.finalize(elapsed=1.0, num_workers=1)
+        monkeypatch.undo()
+        sink.close()
+
+    def test_streams_with_nothing_to_sync_skip_the_fsync(self):
+        JSONLSink(io.StringIO()).finalize()  # no descriptor at all
+        read_fd, write_fd = os.pipe()  # a descriptor fsync rejects with EINVAL
+        with open(read_fd), open(write_fd, "w") as pipe:
+            sink = JSONLSink(pipe)
+            sink.finalize()
+            sink.close()
 
 
 class TestLiveSummary:
