@@ -33,15 +33,14 @@ def bootstrap_ci(
     values: list[float],
     *,
     confidence: float = 0.95,
-    num_resamples: int = 2000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile-bootstrap CI of the mean; censored values enter as given."""
+    """Percentile-bootstrap CI of the mean (2000 resamples); censored values enter as given."""
     if not values:
         raise ValueError("bootstrap_ci requires at least one value")
     arr = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(num_resamples, len(arr)))
+    idx = rng.integers(0, len(arr), size=(2000, len(arr)))
     means = arr[idx].mean(axis=1)
     alpha = (1.0 - confidence) / 2.0
     return float(np.quantile(means, alpha)), float(np.quantile(means, 1.0 - alpha))

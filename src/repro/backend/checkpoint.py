@@ -14,7 +14,7 @@ can request:
 from __future__ import annotations
 
 import copy
-from typing import Any
+from typing import Any, Callable
 
 from ..core.types import Job
 from ..objectives.base import Objective
@@ -70,73 +70,71 @@ class CheckpointStore:
         the donor's weights *as of the exploit decision*, not as of whenever
         the clone's training happens to finish.
         """
-        if job.inherit_from is None:
-            return
+        if job.inherit_from is not None:
+            self._snapshots[job.job_id] = self._donor_snapshot(job)
+
+    def _donor_snapshot(self, job: Job) -> tuple[float, Any]:
         if job.inherit_from not in self._store:
             raise KeyError(
                 f"job {job.job_id} inherits from trial {job.inherit_from}, "
                 "which has no checkpoint"
             )
         resource, state = self._store[job.inherit_from]
-        self._snapshots[job.job_id] = (resource, copy.deepcopy(state))
+        return resource, copy.deepcopy(state)
 
-    def resolve_start(
-        self, job: Job, objective: Objective
-    ) -> tuple[float, Any, dict[str, Any] | None]:
-        """Resolve a job's starting point without emitting telemetry.
+    def _resume_point(self, job: Job, *, consume: bool) -> tuple[float, Any] | None:
+        """The ``(resource, state)`` checkpoint ``job`` resumes, ``None`` from scratch.
 
-        Returns ``(resource, state, restore_event)`` where ``restore_event``
-        is the ``checkpoint_restored`` payload the caller should emit (or
-        ``None`` for a from-scratch start).  The split exists for backends
-        that resolve training inputs at *dispatch* but must emit the restore
-        event at *completion* to keep the stream byte-identical to the
-        inline path (see :class:`~repro.backend.process_pool
-        .ProcessPoolBackend`); :meth:`starting_state` is the
-        resolve-and-emit-now composition.
+        ``consume`` is the completion-time call: it uses up the dispatch
+        snapshot and emits ``checkpoint_restored``.  Without it this is a
+        pure read, for work that starts training ahead of the completion.
         """
-        if job.inherit_from is not None:
-            snapshot = self._snapshots.pop(job.job_id, None)
-            if snapshot is None:
-                if job.inherit_from not in self._store:
-                    raise KeyError(
-                        f"job {job.job_id} inherits from trial {job.inherit_from}, "
-                        "which has no checkpoint"
-                    )
-                resource, state = self._store[job.inherit_from]
-                snapshot = (resource, copy.deepcopy(state))
-            event = dict(
-                trial_id=job.trial_id,
-                job_id=job.job_id,
-                resource=snapshot[0],
-                inherited_from=job.inherit_from,
-            )
-            return snapshot[0], snapshot[1], event
-        if job.checkpoint_resource > 0:
+        inherited = job.inherit_from
+        if inherited is not None:
+            snapshots = self._snapshots
+            point = snapshots.pop(job.job_id, None) if consume else snapshots.get(job.job_id)
+            if point is None:
+                point = self._donor_snapshot(job)
+        elif job.checkpoint_resource > 0:
             if job.trial_id not in self._store:
                 raise KeyError(
                     f"job {job.job_id} resumes trial {job.trial_id} at resource "
                     f"{job.checkpoint_resource}, but no checkpoint exists"
                 )
-            resource, state = self._store[job.trial_id]
-            event = dict(trial_id=job.trial_id, job_id=job.job_id, resource=resource)
-            return resource, state, event
-        return 0.0, objective.initial_state(job.config), None
+            point = self._store[job.trial_id]
+        else:
+            return None
+        if consume and self.telemetry:
+            extra = {} if inherited is None else {"inherited_from": inherited}
+            self.telemetry.emit(
+                EventKind.CHECKPOINT_RESTORED,
+                trial_id=job.trial_id,
+                job_id=job.job_id,
+                resource=point[0],
+                **extra,
+            )
+        return point
 
-    def emit_restore(self, event: dict[str, Any] | None) -> None:
-        """Emit a deferred ``checkpoint_restored`` payload from :meth:`resolve_start`."""
-        if event is not None and self.telemetry:
-            self.telemetry.emit(EventKind.CHECKPOINT_RESTORED, **event)
-
-    def starting_state(self, job: Job, objective: Objective) -> tuple[float, Any]:
+    def starting_state(
+        self, job: Job, objective: Objective, *, peek: bool = False
+    ) -> tuple[float, Any]:
         """Resolve the (resource, state) a job should begin training from.
 
         Emits a ``checkpoint_restored`` telemetry event whenever the job
         resumes existing state (its own checkpoint or an inherited one)
-        rather than initialising from scratch.
+        rather than initialising from scratch.  ``peek=True`` returns the
+        same pair with nothing emitted and nothing consumed — what a backend
+        that trains speculatively from dispatch ships to its worker, the
+        completion still being the call that resolves.
         """
-        resource, state, event = self.resolve_start(job, objective)
-        self.emit_restore(event)
-        return resource, self.materialize(state, objective)
+        return self._begin(self._resume_point(job, consume=not peek), job, objective)
+
+    def _begin(
+        self, point: tuple[float, Any] | None, job: Job, objective: Objective
+    ) -> tuple[float, Any]:
+        if point is None:
+            return 0.0, objective.initial_state(job.config)
+        return point[0], self.materialize(point[1], objective)
 
     def materialize(self, state: Any, objective: Objective) -> Any:
         """Turn a replay placeholder into real training state (identity otherwise).
@@ -153,47 +151,16 @@ class CheckpointStore:
             real, _ = objective.train(real, state.config, 0.0, state.resource)
         return real
 
-    def replay_complete(self, job: Job) -> dict[str, Any] | None:
-        """Bookkeeping for a job whose loss came from a journal.
+    def replay_job(self, job: Job) -> None:
+        """Complete a job whose loss came from a journal: no objective call.
 
-        Mirrors :meth:`resolve_start`'s restore-event computation without
-        touching the objective (no ``initial_state``, no training), then
+        Resolves the start exactly as a live completion does (same
+        ``checkpoint_restored`` event, dispatch snapshot used up), then
         installs a :class:`_ReplayedState` placeholder as the trial's
-        checkpoint.  Returns the deferred ``checkpoint_restored`` payload
-        the caller should emit (``None`` for a from-scratch job), keeping
-        the telemetry stream byte-identical to a live run's.
+        checkpoint, keeping the telemetry stream byte-identical to a live
+        run's.
         """
-        if job.inherit_from is not None:
-            snapshot = self._snapshots.pop(job.job_id, None)
-            if snapshot is None:
-                if job.inherit_from not in self._store:
-                    raise KeyError(
-                        f"job {job.job_id} inherits from trial {job.inherit_from}, "
-                        "which has no checkpoint"
-                    )
-                snapshot = self._store[job.inherit_from]
-            event: dict[str, Any] | None = dict(
-                trial_id=job.trial_id,
-                job_id=job.job_id,
-                resource=snapshot[0],
-                inherited_from=job.inherit_from,
-            )
-        elif job.checkpoint_resource > 0:
-            if job.trial_id not in self._store:
-                raise KeyError(
-                    f"job {job.job_id} resumes trial {job.trial_id} at resource "
-                    f"{job.checkpoint_resource}, but no checkpoint exists"
-                )
-            event = dict(
-                trial_id=job.trial_id, job_id=job.job_id, resource=self._store[job.trial_id][0]
-            )
-        else:
-            event = None
-        self.replay_placeholder(job)
-        return event
-
-    def replay_placeholder(self, job: Job) -> None:
-        """Install the lazy placeholder checkpoint for a journal-replayed job."""
+        self._resume_point(job, consume=True)
         self._store[job.trial_id] = (job.resource, _ReplayedState(job.config, job.resource))
 
     def seed_from_trials(self, trials: dict[int, Any]) -> None:
@@ -221,13 +188,28 @@ class CheckpointStore:
             raise ValueError(f"checkpoint resource must be >= 0, got {resource}")
         self._store[trial_id] = (resource, state)
 
-    def run_job(self, job: Job, objective: Objective) -> float:
+    def run_job(
+        self,
+        job: Job,
+        objective: Objective,
+        trained: Callable[[], tuple[Any, float] | None] | None = None,
+    ) -> float:
         """Execute a job's training increment and persist the new checkpoint.
 
-        Returns the validation loss at ``job.resource``.
+        Returns the validation loss at ``job.resource``.  ``trained`` stands
+        in for the ``train`` call when the increment ran elsewhere from
+        ``starting_state(job, objective, peek=True)``: it returns that
+        ``(state, loss)``, ``None`` if the result was lost (train here after
+        all), or raises what ``train`` raised.  It is called after the start
+        is resolved, so the event order is the in-process one either way,
+        and with a result in hand the objective is never touched.
         """
-        from_resource, state = self.starting_state(job, objective)
-        state, loss = objective.train(state, job.config, from_resource, job.resource)
+        point = self._resume_point(job, consume=True)
+        result = trained() if trained is not None else None
+        if result is None:
+            from_resource, state = self._begin(point, job, objective)
+            result = objective.train(state, job.config, from_resource, job.resource)
+        state, loss = result
         self.put(job.trial_id, job.resource, state)
         return loss
 

@@ -41,6 +41,7 @@ import gc
 import heapq
 import math
 from collections import deque
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -56,53 +57,6 @@ from .faults import FaultManager, RetryPolicy, route_failure
 from .trial_runner import BackendResult, bracket_counter, record_report, wire_telemetry
 
 __all__ = ["SimRun", "SimulatedCluster", "drive_runs"]
-
-
-class _InlineExecution:
-    """The default training-execution strategy: train at the completion event.
-
-    The simulated event loop is deliberately agnostic about *where* a job's
-    training increment actually computes.  It drives a small strategy
-    object: :meth:`submit` when a job is dispatched, :meth:`collect` when
-    its completion event fires (must return the loss and persist the
-    checkpoint), :meth:`discard` when a dispatch is killed before
-    completing, :meth:`close` when the run ends.  This inline strategy is
-    the sequential oracle — everything happens in-process at collect time —
-    and :class:`~repro.backend.process_pool.ProcessPoolBackend` swaps in a
-    strategy that farms :meth:`~repro.objectives.base.Objective.train` out
-    to worker processes while leaving the event loop, clocks, and RNG draw
-    sequence untouched.
-    """
-
-    def __init__(self, store: CheckpointStore, objective: Objective):
-        self.store = store
-        self.objective = objective
-
-    def submit(self, job: Job, cached: bool = False) -> None:  # noqa: ARG002 — strategy protocol
-        """A job was dispatched; the inline strategy defers all work.
-
-        ``cached`` flags a dispatch whose result the study's journal already
-        holds (replay) — irrelevant here since nothing runs until collect.
-        """
-
-    def collect(self, job: Job) -> float:
-        """Produce the completed job's loss (training happens right here)."""
-        return self.store.run_job(job, self.objective)
-
-    def collect_replayed(self, job: Job) -> None:
-        """A journal-replayed job completed: bookkeeping only, no training.
-
-        Emits the same ``checkpoint_restored`` event the live path would and
-        installs the lazy placeholder checkpoint, keeping the telemetry
-        stream and store behaviour byte-identical to an uninterrupted run.
-        """
-        self.store.emit_restore(self.store.replay_complete(job))
-
-    def discard(self, job: Job) -> None:
-        """The dispatch was killed (drop/churn/timeout); nothing is pending."""
-
-    def close(self) -> None:
-        """The run ended; nothing to tear down."""
 
 
 #: Event kinds that reference one in-flight dispatch (and can go stale).
@@ -197,10 +151,11 @@ class SimRun:
         self.nominal_cost = getattr(objective, "nominal_cost", objective.cost)
         # Created by the first retry: an empty deque is 760 bytes a run.
         self.pending_retries: deque[tuple[Job, int]] | None = None
-        # Where training increments actually compute: inline at the
-        # completion event for the plain simulator, in worker processes for
-        # ProcessPoolBackend.  Closed (pool teardown) when the loop exits.
-        self.execution = cluster._make_execution(self.store, objective)
+        # None: every increment trains here, at its completion event.  A
+        # ProcessPoolBackend's pool trains it in a worker from dispatch — the
+        # completion *time* never depends on the loss — and the completion
+        # takes that result in place of the ``train`` call.
+        self.pool = cluster._training_pool(objective)
         #: Time of the last event this run processed (== the shared queue
         #: clock while this run's events are being handled).
         self.clock = 0.0
@@ -271,12 +226,10 @@ class SimRun:
             )
             if deadline is not None:
                 self._push(self.clock + deadline, "timeout", (job, gen))
-        # Hand the dispatch to the execution strategy *after* duration and
-        # deadline are computed: resolving the starting state may consume
-        # the dispatch snapshot that ``start_resource`` reads.  A job
-        # whose result the journal already holds needs no speculative
-        # training (the process pool would otherwise fork for nothing).
-        self.execution.submit(job, cached=self.study.has_cached_loss(job.job_id))
+        # A job whose result the journal already holds needs no speculative
+        # training (the pool would otherwise fork for nothing).
+        if self.pool is not None and not self.study.has_cached_loss(job.job_id):
+            self.pool.prefetch(job, *store.starting_state(job, self.objective, peek=True))
         if self.hub:
             extra = {"attempt": attempt} if attempt > 1 else {}
             self.hub.emit(
@@ -367,9 +320,14 @@ class SimRun:
         lost = min(max(self.clock - started, 0.0), credit)
         correction = lost - credit
         self.busy_time += correction
-        self.store.discard(job)
-        self.execution.discard(job)
+        self._discard(job)
         return worker, lost, correction
+
+    def _discard(self, job: Job) -> None:
+        """``job``'s dispatch will never complete: drop its snapshot and prefetch."""
+        self.store.discard(job)
+        if self.pool is not None:
+            self.pool.discard(job)
 
     def _live_discard(self, job_id: int) -> None:
         pos = self.live_pos.pop(job_id, None)
@@ -475,13 +433,15 @@ class SimRun:
                     # Replay: the journal's next record is this job's tell —
                     # reuse the loss, skip training, keep the
                     # checkpoint/restore bookkeeping identical.
-                    self.execution.collect_replayed(job)
+                    self.store.replay_job(job)
                 else:
+                    pool = self.pool
+                    trained = None if pool is None else partial(pool.take, job)
                     try:
-                        loss = self.execution.collect(job)
+                        loss = self.store.run_job(job, self.objective, trained)
                     except Exception as exc:  # noqa: BLE001 — training crashed
                         failed = True
-                        self.store.discard(job)
+                        self._discard(job)
                         self.handle_failure(
                             job, worker, reason="exception", lost=credit, error=repr(exc)
                         )
@@ -509,8 +469,7 @@ class SimRun:
                             resource=job.resource,
                         )
             else:  # drop
-                self.store.discard(job)
-                self.execution.discard(job)
+                self._discard(job)
                 self.handle_failure(job, worker, reason="dropped", lost=credit)
         result = self.result
         if (
@@ -527,8 +486,9 @@ class SimRun:
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Tear down the execution strategy and make the journal durable."""
-        self.execution.close()
+        """Tear down the training pool and make the journal durable."""
+        if self.pool is not None:
+            self.pool.close()
         # End-of-run durability for the journal (flush + fsync); a crash
         # after this point can never lose recorded interactions.
         self.study.finalize()
@@ -709,9 +669,9 @@ class SimulatedCluster:
         self.churn_downtime = churn_downtime
         self.rng = np.random.default_rng(seed)
 
-    def _make_execution(self, store: CheckpointStore, objective: Objective):
-        """The training-execution strategy for one run (see :class:`_InlineExecution`)."""
-        return _InlineExecution(store, objective)
+    def _training_pool(self, objective: Objective) -> None:  # noqa: ARG002
+        """Worker processes for one run's training: none — see :attr:`SimRun.pool`."""
+        return None
 
     # ----------------------------------------------------------------- run
 

@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> None:
         default=None,
         help="write one telemetry JSONL file per (method, seed) into DIR "
         "(curve experiments only); rebuild traces with "
-        "'python -m repro.telemetry.trace'",
+        "'python -m repro.telemetry'",
     )
     args = parser.parse_args(argv)
 

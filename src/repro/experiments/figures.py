@@ -190,7 +190,6 @@ def figure3(
     grid_points: int = 48,
     n_jobs: int | None = None,
     telemetry_out: str | None = None,
-    backend: str = "simulated",
 ) -> dict[str, AggregateCurve]:
     """Sequential experiments (1 worker), Figure 3.
 
@@ -210,7 +209,6 @@ def figure3(
         seeds=range(num_trials),
         n_jobs=n_jobs,
         telemetry_out=telemetry_out,
-        backend=backend,
     )
     return aggregate_methods(
         records, time_limit=time_limit, grid_points=grid_points, band="quartile"
@@ -228,7 +226,6 @@ def figure4(
     grid_points: int = 48,
     n_jobs: int | None = None,
     telemetry_out: str | None = None,
-    backend: str = "simulated",
 ) -> dict[str, AggregateCurve]:
     """Limited-scale distributed experiments (25 workers), Figure 4.
 
@@ -248,7 +245,6 @@ def figure4(
         straggler_std=straggler_std,
         n_jobs=n_jobs,
         telemetry_out=telemetry_out,
-        backend=backend,
     )
     return aggregate_methods(records, time_limit=time_limit, grid_points=grid_points)
 
@@ -263,11 +259,9 @@ def figure5(
     num_trials: int = 3,
     num_workers: int = 500,
     horizon_multiple: float = 6.0,
-    vizier_loss_cap: float | None = 1000.0,
     grid_points: int = 48,
     n_jobs: int | None = None,
     telemetry_out: str | None = None,
-    backend: str = "simulated",
 ) -> dict[str, AggregateCurve]:
     """Large-scale benchmark, Figure 5 (paper: 5 trials, 500 workers).
 
@@ -279,7 +273,7 @@ def figure5(
     time_limit = horizon_multiple * r_max
 
     geometry = {"min_resource": r_max / 64.0, "max_resource": r_max, "eta": 4}
-    vizier = {"loss_cap": vizier_loss_cap, "refit_every": 25, "max_fit_points": 250}
+    vizier = {"loss_cap": 1000.0, "refit_every": 25, "max_fit_points": 250}
     factories = {
         "ASHA": method_factory("asha", **geometry),
         "Hyperband (Loop Brackets)": method_factory(
@@ -295,7 +289,6 @@ def figure5(
         seeds=range(num_trials),
         n_jobs=n_jobs,
         telemetry_out=telemetry_out,
-        backend=backend,
     )
     return aggregate_methods(records, time_limit=time_limit, grid_points=grid_points)
 
@@ -313,7 +306,6 @@ def figure6(
     grid_points: int = 48,
     n_jobs: int | None = None,
     telemetry_out: str | None = None,
-    backend: str = "simulated",
 ) -> dict[str, AggregateCurve]:
     """Modern LSTM benchmark, Figure 6.
 
@@ -336,7 +328,6 @@ def figure6(
         seeds=range(num_trials),
         n_jobs=n_jobs,
         telemetry_out=telemetry_out,
-        backend=backend,
     )
     return aggregate_methods(records, time_limit=time_limit, grid_points=grid_points)
 
@@ -506,7 +497,6 @@ class _Figure9Task:
     seed: int
     r_max: float
     time_limit: float
-    fabolas_max_trials: int | None
 
 
 def _run_figure9_seed(task: _Figure9Task) -> dict[str, RunRecord]:
@@ -551,9 +541,7 @@ def _run_figure9_seed(task: _Figure9Task) -> dict[str, RunRecord]:
     )
     # --- Fabolas: incumbent history -> offline validation.
     rng = np.random.default_rng(seed)
-    fab = Fabolas(
-        objective.space, rng, max_resource=r_max, max_trials=task.fabolas_max_trials
-    )
+    fab = Fabolas(objective.space, rng, max_resource=r_max, max_trials=120)
     backend = SimulatedCluster(1, seed=seed + 30_000).run(
         fab, objective, time_limit=time_limit
     )
@@ -574,7 +562,6 @@ def figure9(
     num_trials: int = 3,
     horizon_multiple: float = 30.0,
     grid_points: int = 32,
-    fabolas_max_trials: int | None = 120,
     n_jobs: int | None = None,
 ) -> dict[str, AggregateCurve]:
     """Sequential Fabolas comparison, Figure 9 (paper: 10 trials, eta = 4).
@@ -588,10 +575,7 @@ def figure9(
     r_max = probe.max_resource
     time_limit = horizon_multiple * r_max
     grid = np.linspace(0.0, time_limit, grid_points)
-    tasks = [
-        _Figure9Task(benchmark, seed, r_max, time_limit, fabolas_max_trials)
-        for seed in range(num_trials)
-    ]
+    tasks = [_Figure9Task(benchmark, seed, r_max, time_limit) for seed in range(num_trials)]
     per_seed = parallel_map(_run_figure9_seed, tasks, n_jobs)
     out = {}
     for name in ("Hyperband (by rung)", "Hyperband (by bracket)", "Fabolas", "Random"):

@@ -17,10 +17,9 @@ Design constraints, in order:
   order.
 * **Closures welcome.**  Scheduler factories are usually closures over
   method settings (see :func:`~repro.experiments.methods.standard_methods`)
-  and closures do not pickle.  The pool therefore uses the ``fork`` start
-  method and hands workers *index spans* into a module-level task table
-  inherited through the fork — the only things crossing the pipe are small
-  picklable chunk specs (two ints) and the picklable results.
+  and closures do not pickle.  The pool is therefore a :mod:`repro.forkpool`
+  one: workers inherit function and task list through the fork and are sent
+  *index spans* (two ints); only those and the picklable results cross the pipe.
 * **Amortised dispatch.**  Tasks are batched into contiguous *chunks* sized
   so each worker receives ~one dispatch per pool lifetime (``ceil(n_tasks /
   n_jobs)`` tasks per chunk by default).  One submit, one pipe round-trip
@@ -41,10 +40,11 @@ figure benches expose via ``--jobs`` (see ``benchmarks/conftest.py``).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from typing import Any, Callable, Sequence, TypeVar
+
+from ..forkpool import open_pool
 
 __all__ = ["JOBS_ENV_VAR", "chunk_spans", "parallel_map", "resolve_jobs"]
 
@@ -53,15 +53,6 @@ R = TypeVar("R")
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV_VAR = "REPRO_JOBS"
-
-#: Fork-inherited task table: ``(fn, tasks)`` while a pool is alive.  Workers
-#: receive index spans and look the work up here, so unpicklable callables
-#: (closures over method settings) never cross a process boundary.
-_WORK: tuple[Callable[[Any], Any], Sequence[Any]] | None = None
-
-#: True inside pool workers; nested ``parallel_map`` calls run in-process
-#: (one level of process fan-out is the useful one).
-_IN_WORKER = False
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
@@ -109,22 +100,6 @@ def chunk_spans(
     return [(start, min(start + chunksize, n_tasks)) for start in range(0, n_tasks, chunksize)]
 
 
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def _fork_entry(start: int, stop: int) -> list[Any]:
-    """Pool entry point: run one chunk of tasks from the fork-inherited table."""
-    assert _WORK is not None, "worker forked without a task table"
-    fn, tasks = _WORK
-    return [fn(tasks[i]) for i in range(start, stop)]
-
-
-def _can_fork() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def parallel_map(
     fn: Callable[[T], R],
     tasks: Sequence[T],
@@ -136,8 +111,9 @@ def parallel_map(
     """``[fn(t) for t in tasks]`` fanned out across processes.
 
     Results are returned in task order regardless of completion order.  With
-    ``n_jobs`` resolving to 1, a single task, or inside a pool worker the
-    in-process path runs directly.  An injected ``executor`` is used as-is
+    ``n_jobs`` resolving to 1, a single chunk, inside a pool worker or without
+    ``fork`` (:func:`repro.forkpool.open_pool` declines) everything runs
+    in-process.  An injected ``executor`` is used as-is
     (its tasks must then be picklable and are submitted one at a time);
     otherwise a fork-based pool is created for the duration of the call and
     tasks are dispatched in contiguous chunks (see :func:`chunk_spans`;
@@ -150,42 +126,37 @@ def parallel_map(
     jobs = resolve_jobs(n_jobs)
     if executor is not None:
         return _map_with_executor(fn, tasks, executor)
-    if jobs <= 1 or len(tasks) <= 1 or _IN_WORKER or not _can_fork():
-        return [fn(t) for t in tasks]
-    global _WORK
     spans = chunk_spans(len(tasks), jobs, chunksize)
+
+    def run_span(start: int, stop: int) -> list[Any]:
+        return [fn(tasks[i]) for i in range(start, stop)]
+
     results: list[Any] = [None] * len(tasks)
     delivered = [False] * len(spans)
-    _WORK = (fn, tasks)
+    pool = None
     try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(spans)),
-            mp_context=context,
-            initializer=_mark_worker,
-        ) as pool:
-            futures = [pool.submit(_fork_entry, start, stop) for start, stop in spans]
-            for k, future in enumerate(futures):
-                try:
-                    chunk = future.result()
-                except Exception:
-                    # This chunk could not be delivered (unpicklable result,
-                    # broken pool, or a genuine mid-chunk task error); it is
-                    # recomputed — and any genuine error re-raised — below.
-                    continue
-                start, stop = spans[k]
-                results[start:stop] = chunk
-                delivered[k] = True
+        pool = open_pool(run_span, min(jobs, len(spans)))
+        futures = [] if pool is None else [pool.submit(*span) for span in spans]
+        for k, future in enumerate(futures):
+            start, stop = spans[k]
+            try:
+                results[start:stop] = future.result()
+            except Exception:
+                # This chunk could not be delivered (unpicklable result,
+                # broken pool, or a genuine mid-chunk task error); it is
+                # recomputed — and any genuine error re-raised — below.
+                continue
+            delivered[k] = True
     except Exception:
-        # Pool setup or submission failed outright (no fork, resource
-        # limits): every undelivered chunk is recomputed in-process below.
+        # Pool setup or submission failed outright (resource limits): every
+        # undelivered chunk is recomputed in-process below.
         pass
     finally:
-        _WORK = None
+        if pool is not None:
+            pool.close(wait=True)
     for k, (start, stop) in enumerate(spans):
         if not delivered[k]:
-            for i in range(start, stop):
-                results[i] = fn(tasks[i])
+            results[start:stop] = run_span(start, stop)
     return results
 
 

@@ -85,7 +85,7 @@ class TrialTask:
     telemetry: TelemetryFactory | None = None
     #: Directory for a per-trial JSONL event export
     #: (``<method>-seed<N>.jsonl``, created on demand), from which
-    #: ``python -m repro.telemetry.trace`` rebuilds a span/timeline trace.
+    #: ``python -m repro.telemetry`` rebuilds a span/timeline trace.
     #: Ignored when a ``telemetry`` factory is given (it owns sink placement).
     telemetry_out: str | Path | None = None
     #: Directory for a per-trial crash-safety journal

@@ -40,20 +40,18 @@ def propose_constant_liar(
     y_obs: np.ndarray,
     candidates: np.ndarray,
     batch_size: int,
-    *,
-    lie: float | None = None,
 ) -> list[int]:
     """Pick ``batch_size`` candidate indices via EI with constant-liar updates.
 
     After each pick the chosen point is appended to the observation set with
-    the lie value (default: the best observed loss) and the GP is refit, so
+    the lie value (the best observed loss) and the GP is refit, so
     subsequent picks avoid clustering on the same optimum.  Returns indices
     into ``candidates``; fewer than ``batch_size`` if candidates run out.
     """
     x_obs = np.atleast_2d(np.asarray(x_obs, dtype=float))
     y_obs = np.asarray(y_obs, dtype=float).ravel()
     finite = y_obs[np.isfinite(y_obs)]
-    lie_value = lie if lie is not None else (float(finite.min()) if len(finite) else 0.0)
+    lie_value = float(finite.min()) if len(finite) else 0.0
     chosen: list[int] = []
     remaining = list(range(len(candidates)))
     x_aug, y_aug = x_obs, y_obs

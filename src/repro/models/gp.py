@@ -29,17 +29,16 @@ class GaussianProcess:
         Prior covariance; defaults to Matern-5/2.
     noise:
         Observation noise variance (on the *normalised* target scale).
-    normalize:
-        Standardise targets to zero mean / unit variance before fitting;
-        predictions are transformed back.
+
+    Targets are standardised to zero mean / unit variance before fitting;
+    predictions are transformed back.
     """
 
-    def __init__(self, kernel: Kernel | None = None, noise: float = 1e-4, normalize: bool = True):
+    def __init__(self, kernel: Kernel | None = None, noise: float = 1e-4):
         if noise <= 0:
             raise ValueError(f"noise must be positive, got {noise}")
         self.kernel = kernel or Matern52()
         self.noise = noise
-        self.normalize = normalize
         self._x: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._chol = None
@@ -70,8 +69,8 @@ class GaussianProcess:
             y = np.zeros_like(y)
         elif not finite.all():
             y = np.where(finite, y, y[finite].max())
-        self._y_mean = float(y.mean()) if self.normalize else 0.0
-        std = float(y.std()) if self.normalize else 1.0
+        self._y_mean = float(y.mean())
+        std = float(y.std())
         self._y_std = std if std > 0 else 1.0
         z = (y - self._y_mean) / self._y_std
         gram = self.kernel(x, x)

@@ -21,15 +21,15 @@ _MIN_BANDWIDTH = 1e-3
 class DensityEstimate:
     """Product-Gaussian KDE on ``[0, 1]^d`` with Scott's-rule bandwidths."""
 
-    def __init__(self, points: np.ndarray, min_bandwidth: float = _MIN_BANDWIDTH):
+    def __init__(self, points: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if len(points) == 0:
             raise ValueError("DensityEstimate requires at least one point")
         self.points = points
         n, d = points.shape
         scott = n ** (-1.0 / (d + 4))
-        spread = np.maximum(points.std(axis=0), min_bandwidth)
-        self.bandwidths = np.maximum(scott * spread, min_bandwidth)
+        spread = np.maximum(points.std(axis=0), _MIN_BANDWIDTH)
+        self.bandwidths = np.maximum(scott * spread, _MIN_BANDWIDTH)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Density at the rows of ``x`` (unnormalised boundary handling)."""

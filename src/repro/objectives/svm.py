@@ -30,6 +30,10 @@ from .base import Objective
 
 __all__ = ["SVMObjective", "space", "make_objective", "DATASETS"]
 
+#: Input dimensionality and random-Fourier-feature width.
+_NUM_FEATURES = 10
+_RFF_DIM = 96
+
 #: Difficulty presets: (class separation, label noise, target floor).
 DATASETS = {
     "vehicle": {"separation": 2.0, "label_noise": 0.15, "n_informative": 6},
@@ -59,8 +63,6 @@ class SVMObjective(Objective):
         Full training-set size (= ``R``).
     num_val:
         Held-out validation points.
-    num_features, rff_dim:
-        Input dimensionality and random-Fourier-feature width.
     seed:
         Dataset seed; vary across experiment trials for fresh splits.
     """
@@ -71,8 +73,6 @@ class SVMObjective(Objective):
         *,
         max_train: int = 4096,
         num_val: int = 1024,
-        num_features: int = 10,
-        rff_dim: int = 96,
         seed: int = 0,
     ):
         if dataset not in DATASETS:
@@ -80,11 +80,10 @@ class SVMObjective(Objective):
         self.space = space()
         self.max_resource = float(max_train)
         self.dataset = dataset
-        self.rff_dim = rff_dim
         preset = DATASETS[dataset]
         rng = np.random.default_rng(seed)
         n = max_train + num_val
-        d = num_features
+        d = _NUM_FEATURES
         informative = preset["n_informative"]
         # Two anisotropic Gaussian clusters, informative dims separated.
         labels = rng.integers(0, 2, size=n)
@@ -97,8 +96,8 @@ class SVMObjective(Objective):
         self._x_train, self._y_train = x[:max_train], labels[:max_train]
         self._x_val, self._y_val = x[max_train:], labels[max_train:]
         # Fixed RFF directions; the gamma hyperparameter rescales them.
-        self._w = rng.normal(0.0, 1.0, size=(d, rff_dim))
-        self._b = rng.uniform(0.0, 2 * math.pi, size=rff_dim)
+        self._w = rng.normal(0.0, 1.0, size=(d, _RFF_DIM))
+        self._b = rng.uniform(0.0, 2 * math.pi, size=_RFF_DIM)
 
     # ---------------------------------------------------------- Objective
 
@@ -107,7 +106,7 @@ class SVMObjective(Objective):
 
     def _features(self, x: np.ndarray, gamma: float) -> np.ndarray:
         proj = x @ (self._w * math.sqrt(2.0 * gamma)) + self._b
-        return math.sqrt(2.0 / self.rff_dim) * np.cos(proj)
+        return math.sqrt(2.0 / _RFF_DIM) * np.cos(proj)
 
     def train(
         self, state: Any, config: Config, from_resource: float, to_resource: float

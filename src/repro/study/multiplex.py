@@ -252,8 +252,8 @@ class StudyMultiplexer:
         finally:
             for run in self._runs:
                 # Commits any buffered journal tail and fsyncs (via
-                # Study.finalize -> Journal.finalize), then tears down the
-                # execution strategy.
+                # Study.finalize -> Journal.finalize) after tearing down the
+                # run's training pool, if it has one.
                 run.close()
             if writer.wal_path is not None:
                 # WAL mode defers every journal's tail to here: one final

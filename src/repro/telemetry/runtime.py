@@ -24,9 +24,12 @@ internals observable without making them slower when nobody is looking:
   ``StudyMultiplexer(scraper=...)`` argument does this for you) and it
   appends a canonical-JSON registry snapshot to a JSONL file every N
   simulated ticks.
-* The ops CLI, :func:`main` (``python -m repro.telemetry snapshots.jsonl
-  --watch/--prom/--report``): a live multiplexer health table, the full
-  metric report, or the last snapshot as Prometheus text.
+* The ops CLI, :func:`main` (``python -m repro.telemetry FILE``), over both
+  exported artefact kinds, told apart by the file's first record: scraper
+  snapshots (``--watch/--prom/--report``: a live multiplexer health table,
+  the last snapshot as Prometheus text, the full metric report) or a
+  :class:`~repro.telemetry.JSONLSink` event stream (``--report/--chrome``:
+  the run report, a Chrome trace for https://ui.perfetto.dev).
 
 Install order matters: probes are resolved when the instrumented object is
 *constructed*, so install the registry before building studies, queues,
@@ -59,6 +62,7 @@ from .exposition import (
     validate_exposition,
 )
 from .metrics import MetricsRegistry
+from .tracing import TraceBuilder, validate_chrome_trace
 
 __all__ = [
     "CATALOGUE",
@@ -470,30 +474,81 @@ def _watch(path: str, interval: float) -> int:
     return 0
 
 
+def _holds_events(path: str) -> bool:
+    """Whether ``path`` is a ``JSONLSink`` event stream, not scraper snapshots.
+
+    Told from the first record: every event has a ``kind``, no snapshot does.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        first = next((line for line in handle if line.strip()), None)
+    return first is not None and "kind" in json.loads(first)
+
+
+def _report_violations(what: str, violations: list[str]) -> int:
+    for violation in violations:
+        print(f"{what} violation: {violation}", file=sys.stderr)
+    if not violations:
+        print(f"{what}: ok", file=sys.stderr)
+    return 1 if violations else 0
+
+
+def _trace_main(args: argparse.Namespace) -> int:
+    """The event-stream half of :func:`main`: rebuild the span/timeline trace."""
+    trace = TraceBuilder.from_jsonl(args.file).build()
+    status = 0
+    if args.chrome:
+        with open(args.chrome, "w", encoding="utf-8") as handle:
+            handle.write(trace.chrome_trace_json())
+        print(f"wrote {args.chrome}", file=sys.stderr)
+    if args.validate:
+        violations = validate_chrome_trace(trace.to_chrome_trace())
+        status = _report_violations("chrome trace schema", violations)
+    if args.report or not (args.chrome or args.validate):
+        print(trace.render_report())
+        if args.trial is not None:
+            path = trace.critical_path(args.trial)
+            print(f"critical path of trial {args.trial} (latency {path.total_latency:g}):")
+            print(json.dumps(path.breakdown(), indent=2, sort_keys=True))
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Inspect runtime-probe snapshots scraped by RuntimeScraper.",
+        description="Inspect an exported telemetry artefact: RuntimeScraper snapshots or a "
+        "JSONLSink event stream, told apart by the file's first record.",
     )
-    parser.add_argument("snapshots", help="JSONL snapshot file written by RuntimeScraper")
+    parser.add_argument("file", help="JSONL file written by RuntimeScraper or JSONLSink")
     parser.add_argument("--report", action="store_true",
-                        help="print the health report for the last snapshot")
-    parser.add_argument("--prom", action="store_true",
-                        help="print the last snapshot as Prometheus text exposition")
-    parser.add_argument("--watch", action="store_true",
-                        help="re-render the report as the file grows; exit when it stops")
+                        help="print the report (the default): runtime health, or the run's "
+                        "critical path, stragglers and utilisation")
     parser.add_argument("--validate", action="store_true",
-                        help="validate the Prometheus exposition; exit 1 on violations")
+                        help="check the Prometheus exposition, or the Chrome trace; exit 1 "
+                        "on violations")
+    parser.add_argument("--prom", action="store_true",
+                        help="snapshots: print the last one as Prometheus text exposition")
+    parser.add_argument("--watch", action="store_true",
+                        help="snapshots: re-render the report as the file grows")
     parser.add_argument("--interval", type=float, default=1.0,
                         help="--watch poll interval in seconds (default 1.0)")
+    parser.add_argument("--chrome", metavar="OUT.json",
+                        help="events: write a Chrome trace-event (Perfetto) file")
+    parser.add_argument("--trial", type=int, default=None,
+                        help="events: also report the critical path of this trial id")
     args = parser.parse_args(argv)
 
     if args.watch:
-        return _watch(args.snapshots, args.interval)
+        return _watch(args.file, args.interval)
+    if _holds_events(args.file):
+        if args.prom:
+            parser.error("--prom reads scraper snapshots; this file holds events")
+        return _trace_main(args)
+    if args.chrome or args.trial is not None:
+        parser.error("--chrome/--trial read an event stream; this file holds snapshots")
 
-    snapshots = _load_snapshots(args.snapshots)
+    snapshots = _load_snapshots(args.file)
     if not snapshots:
-        print(f"{args.snapshots}: no snapshots", file=sys.stderr)
+        print(f"{args.file}: no snapshots", file=sys.stderr)
         return 1
 
     status = 0
@@ -502,13 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.prom:
             sys.stdout.write(exposition)
         if args.validate:
-            violations = validate_exposition(exposition)
-            for violation in violations:
-                print(f"exposition violation: {violation}", file=sys.stderr)
-            if violations:
-                status = 1
-            else:
-                print("exposition: ok", file=sys.stderr)
+            status = _report_violations("exposition", validate_exposition(exposition))
     if args.report or not (args.prom or args.validate):
         print(render_report(snapshots))
     return status

@@ -11,6 +11,7 @@ workers, a fork-less platform) must silently run inline.
 from __future__ import annotations
 
 import io
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -22,14 +23,15 @@ from repro.backend import (
     RetryPolicy,
     SimulatedCluster,
 )
-from repro.backend.checkpoint import CheckpointStore
-from repro.backend.process_pool import _InlineExecution, _ProcessPoolExecution
+from repro.backend.events import EventQueue
+from repro.backend.simulation import SimRun, drive_runs
 from repro.core import ASHA, PBT
 from repro.experiments.runner import run_trials
 from repro.experiments.toys import toy_objective, toy_space
 from repro.objectives import mlp_real
+from repro.study import StudyMultiplexer
 from repro.telemetry import JSONLSink, TelemetryHub
-from repro.tune import tune
+from repro.tune import FunctionObjective, tune
 
 
 def _asha(seed: int = 3, max_trials: int = 30):
@@ -125,44 +127,43 @@ class TestByteParity:
         assert pickle.dumps(par) == pickle.dumps(seq)
 
 
+def _pool_of_a_run(backend, objective=None):
+    """The training pool a run on ``backend`` holds (``None``: it trains in-process)."""
+    run = SimRun(
+        backend,
+        _asha(),
+        objective if objective is not None else toy_objective(),
+        queue=EventQueue(),
+        time_limit=1.0,
+    )
+    run.close()
+    return run.pool
+
+
 class TestInlineFallbacks:
     def test_single_proc_runs_inline(self):
-        backend = ProcessPoolBackend(4, n_procs=1)
-        execution = backend._make_execution(CheckpointStore(), toy_objective())
-        assert isinstance(execution, _InlineExecution)
+        assert _pool_of_a_run(ProcessPoolBackend(4, n_procs=1)) is None
 
     def test_process_unsafe_objective_runs_inline(self):
         # The failure injector's RNG and counters live in the master;
         # forked copies would diverge, so it must never enter the pool.
         objective = FailureInjectingObjective(toy_objective(), crash_probability=0.1)
         assert objective.process_safe is False
-        backend = ProcessPoolBackend(4, n_procs=4)
-        execution = backend._make_execution(CheckpointStore(), objective)
-        assert isinstance(execution, _InlineExecution)
+        assert _pool_of_a_run(ProcessPoolBackend(4, n_procs=4), objective) is None
 
     def test_no_fork_runs_inline(self, monkeypatch):
-        import repro.backend.process_pool as pp
-
-        monkeypatch.setattr(pp, "_can_fork", lambda: False)
-        backend = ProcessPoolBackend(4, n_procs=4)
-        execution = backend._make_execution(CheckpointStore(), toy_objective())
-        assert isinstance(execution, _InlineExecution)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _pool_of_a_run(ProcessPoolBackend(4, n_procs=4)) is None
 
     def test_inside_experiment_worker_runs_inline(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
+        import repro.forkpool as forkpool
 
-        monkeypatch.setattr(parallel_mod, "_IN_WORKER", True)
-        backend = ProcessPoolBackend(4, n_procs=4)
-        execution = backend._make_execution(CheckpointStore(), toy_objective())
-        assert isinstance(execution, _InlineExecution)
+        monkeypatch.setattr(forkpool, "_IN_WORKER", True)
+        assert _pool_of_a_run(ProcessPoolBackend(4, n_procs=4)) is None
 
     def test_pool_path_chosen_when_safe(self):
-        backend = ProcessPoolBackend(4, n_procs=2)
-        execution = backend._make_execution(CheckpointStore(), toy_objective())
-        try:
-            assert isinstance(execution, _ProcessPoolExecution)
-        finally:
-            execution.close()
+        assert _pool_of_a_run(ProcessPoolBackend(4, n_procs=2)) is not None
+        assert _pool_of_a_run(SimulatedCluster(4)) is None
 
     def test_fault_injection_run_matches_simulated_cluster(self):
         # End to end: a process-pool run over an injected-failure objective
@@ -182,6 +183,55 @@ class TestInlineFallbacks:
         par, par_events = run(ProcessPoolBackend)
         assert par_events == seq_events
         assert pickle.dumps(par) == pickle.dumps(seq)
+
+
+def _offset_objective(offset: float) -> FunctionObjective:
+    def train(config, state, from_resource, to_resource):
+        return state, offset + config["quality"] + 1.0 / (1.0 + to_resource)
+
+    return FunctionObjective(train, toy_space(), 9.0)
+
+
+class TestCoHostedPools:
+    """Pools alive at once each train their own study's objective."""
+
+    def test_two_studies_in_one_multiplexer_match_their_solo_runs(self):
+        def solo(i):
+            return SimulatedCluster(4, seed=i).run(
+                _asha(seed=i), _offset_objective(100.0 * i), time_limit=60.0
+            )
+
+        mux = StudyMultiplexer()
+        for i in range(2):
+            mux.add(
+                _asha(seed=i),
+                _offset_objective(100.0 * i),
+                cluster=ProcessPoolBackend(4, n_procs=2, seed=i),
+                time_limit=60.0,
+            )
+        for i, hosted in enumerate(mux.run()):
+            assert hosted.measurements[0].loss < 100.0 * i + 2.0
+            assert pickle.dumps(hosted) == pickle.dumps(solo(i))
+
+    def test_closing_one_run_does_not_strand_another_on_the_same_objective(self):
+        objective = toy_objective(max_resource=9.0)
+        first, second = (
+            SimRun(
+                ProcessPoolBackend(4, n_procs=2, seed=5),
+                _asha(),
+                objective,
+                queue=EventQueue(),
+                time_limit=60.0,
+            )
+            for _ in range(2)
+        )
+        first.close()
+        try:
+            drive_runs(second.queue, [second])
+        finally:
+            second.close()
+        expected = SimulatedCluster(4, seed=5).run(_asha(), objective, time_limit=60.0)
+        assert pickle.dumps(second.finish()) == pickle.dumps(expected)
 
 
 class TestConstruction:

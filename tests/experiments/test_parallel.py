@@ -136,10 +136,10 @@ def test_parallel_map_explicit_chunksize_preserves_order():
 
 
 def test_parallel_map_falls_back_when_fork_unavailable(monkeypatch):
-    import repro.experiments.parallel as parallel_mod
+    import multiprocessing
 
     calls = []
-    monkeypatch.setattr(parallel_mod, "_can_fork", lambda: False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
 
     def tracked(x):
         calls.append(x)

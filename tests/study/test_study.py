@@ -209,7 +209,7 @@ def test_bare_resume_rebuilds_scheduler_from_header_spec(tmp_path):
         clock += store.job_cost(job, objective)
         loss = study.cached_loss(job)
         if loss is not None:
-            store.replay_complete(job)
+            store.replay_job(job)
         else:
             loss = store.run_job(job, objective)
         study.tell(job, loss, time=clock)

@@ -597,6 +597,13 @@ def test_cli_watch_exits_on_static_file(snapshot_file, capsys):
     assert "stopped growing" in err
 
 
+def test_cli_event_only_flag_on_snapshots_is_a_usage_error(snapshot_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(snapshot_file), "--chrome", str(tmp_path / "trace.json")])
+    assert exit_info.value.code == 2
+    assert "this file holds snapshots" in capsys.readouterr().err
+
+
 def test_cli_missing_snapshots(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

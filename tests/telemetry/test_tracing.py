@@ -43,7 +43,7 @@ from repro.telemetry import (
     TraceBuilder,
     validate_chrome_trace,
 )
-from repro.telemetry.trace import main as trace_cli
+from repro.telemetry.runtime import main as trace_cli
 from repro.tune import tune
 
 
@@ -438,6 +438,12 @@ class TestCommandLine:
         assert trace_cli([str(events), "--chrome", str(out)]) == 0
         expected = TraceBuilder.from_jsonl(events).build().chrome_trace_json()
         assert out.read_text() == expected
+
+    def test_snapshot_only_flag_on_an_event_stream_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            trace_cli([str(self._events_file(tmp_path)), "--prom"])
+        assert exit_info.value.code == 2
+        assert "this file holds events" in capsys.readouterr().err
 
 
 class TestTuneAndRunnerIntegration:

@@ -12,7 +12,8 @@ module-level table) measures, deterministically:
     against ceilings in the style of ``test_src_budget.py``: the value
     measured when the ceiling was last set, plus 5 %;
 (c) the length of every module-level ``dict``/``list``/``set`` of every loaded
-    ``repro.*`` module, before and after — none may grow with the trial count.
+    ``repro.*`` module, before and after — none may grow with the trial count,
+    nor (``repro.forkpool``'s inherited table) with the pools opened and closed.
 
 ``pytest tests/test_footprint.py -q -s`` prints the table (CI appends it to
 the job summary).
@@ -52,6 +53,7 @@ import gc, json, os, sys, tracemalloc
 
 import numpy as np
 
+from repro.backend import ProcessPoolBackend
 from repro.backend.simulation import SimulatedCluster
 from repro.core import ASHA
 from repro.experiments.toys import toy_objective, toy_space
@@ -126,6 +128,11 @@ for kind, run in SCENARIOS.items():
     gc.collect()
     out["dropped"][kind] = tracemalloc.get_traced_memory()[0] - baseline
 tracemalloc.stop()
+
+# A search on worker processes: repro.forkpool's inherited table is back to empty.
+ProcessPoolBackend(2, n_procs=2, seed=3).run(
+    ASHA(toy_space(), np.random.default_rng(3), min_resource=1.0, max_resource=9.0, eta=3),
+    toy_objective(), time_limit=20.0)
 
 after = module_containers()
 out["grown"] = {name: [containers_before.get(name, 0), size] for name, size in after.items()

@@ -33,7 +33,7 @@ import repro
 loads_nothing("import repro")
 from repro.study import Study, StudyMultiplexer
 loads_nothing("repro.study")
-for cli in ("repro.experiments.__main__", "repro.telemetry.__main__", "repro.telemetry.trace"):
+for cli in ("repro.experiments.__main__", "repro.telemetry.__main__"):
     importlib.import_module(cli)
     loads_nothing(cli)
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: ``src_lines`` as PR 23 left it.
-CEILING = 16_057
+#: ``src_lines`` as PR 24 left it.
+CEILING = 15_898
 
 
 def src_lines() -> int:
