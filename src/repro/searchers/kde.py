@@ -52,6 +52,16 @@ class KDESearcher(Searcher):
         self.encoder: UnitCubeEncoder | None = None
         #: rung -> TPE model over that rung's observations.
         self.models: dict[int, TPESampler] = {}
+        self._new_model(1)  # bad options fail here, not at the first observation
+
+    def _new_model(self, dim: int) -> TPESampler:
+        return TPESampler(
+            dim,
+            gamma=self.gamma,
+            num_candidates=self.num_candidates,
+            random_fraction=self.random_fraction,
+            min_points=self.min_points,
+        )
 
     def _setup(self, space: SearchSpace) -> None:
         self.encoder = UnitCubeEncoder(space)
@@ -60,13 +70,7 @@ class KDESearcher(Searcher):
         assert self.encoder is not None
         model = self.models.get(rung)
         if model is None:
-            model = self.models[rung] = TPESampler(
-                self.encoder.dim,
-                gamma=self.gamma,
-                num_candidates=self.num_candidates,
-                random_fraction=self.random_fraction,
-                min_points=self.min_points,
-            )
+            model = self.models[rung] = self._new_model(self.encoder.dim)
         model.observe(self.encoder.encode(trial.config), loss)
 
     def _propose(self, rng: np.random.Generator) -> tuple[Config, str]:
@@ -96,15 +100,11 @@ class KDESearcher(Searcher):
     def _load_searcher_state(self, extra: dict) -> None:
         self.models = {}
         for rung_key, model_state in extra["models"].items():
-            model = TPESampler(
-                self.encoder.dim if self.encoder is not None else len(model_state["x"][0]),
-                gamma=self.gamma,
-                num_candidates=self.num_candidates,
-                random_fraction=self.random_fraction,
-                min_points=self.min_points,
+            model = self._new_model(
+                self.encoder.dim if self.encoder is not None else len(model_state["x"][0])
             )
-            model._x = [np.asarray(x, dtype=float) for x in model_state["x"]]
-            model._y = [float(y) for y in model_state["y"]]
+            for x, y in zip(model_state["x"], model_state["y"]):
+                model.observe(x, y)
             model.last_proposal_was_model = bool(model_state["last_proposal_was_model"])
             self.models[int(rung_key)] = model
 

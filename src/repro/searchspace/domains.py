@@ -130,13 +130,13 @@ class LogUniform(Domain):
         return float(min(max(value, self.low), self.high))
 
     def to_unit(self, value: float) -> float:
-        lo, hi = math.log(self.low), math.log(self.high)
-        return (math.log(self.clip(value)) - lo) / (hi - lo)
+        lo, span = self._log_low, self._log_span  # type: ignore[attr-defined]
+        return (math.log(self.clip(value)) - lo) / span
 
     def from_unit(self, u: float) -> float:
-        lo, hi = math.log(self.low), math.log(self.high)
+        lo, span = self._log_low, self._log_span  # type: ignore[attr-defined]
         # Clip: exp(log(low)) can undershoot low by one ulp.
-        return self.clip(math.exp(lo + (hi - lo) * min(max(u, 0.0), 1.0)))
+        return self.clip(math.exp(lo + span * min(max(u, 0.0), 1.0)))
 
     def perturb(
         self, value: float, rng: np.random.Generator, factors: tuple[float, float] = (0.8, 1.2)
@@ -254,8 +254,6 @@ class Choice(Domain):
         return self.values.index(self.clip(value))
 
     def to_unit(self, value: Any) -> float:
-        if len(self.values) == 1:
-            return 0.0
         return self.index(value) / (len(self.values) - 1)
 
     def from_unit(self, u: float) -> Any:

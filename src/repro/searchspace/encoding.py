@@ -27,16 +27,15 @@ class UnitCubeEncoder:
     def __init__(self, space: SearchSpace):
         self.space = space
         self.names = space.names
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+        self.dim = space.dim
+        # Pre-bound per-dimension maps, as in ``SearchSpace._samplers``: a
+        # model searcher encodes every observation and decodes every proposal.
+        self._to_unit = [(name, space[name].to_unit) for name in self.names]
+        self._from_unit = [(name, space[name].from_unit) for name in self.names]
 
     def encode(self, config: Mapping[str, Any]) -> np.ndarray:
         """Encode one configuration as a vector in the unit cube."""
-        return np.array(
-            [self.space[name].to_unit(config[name]) for name in self.names], dtype=float
-        )
+        return np.array([to_unit(config[name]) for name, to_unit in self._to_unit], dtype=float)
 
     def encode_many(self, configs: list[Config]) -> np.ndarray:
         """Encode a list of configurations as an ``(n, d)`` array."""
@@ -49,7 +48,7 @@ class UnitCubeEncoder:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
-        return {name: self.space[name].from_unit(float(u)) for name, u in zip(self.names, x)}
+        return {name: from_unit(u) for (name, from_unit), u in zip(self._from_unit, x.tolist())}
 
     def sample_unit(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``n`` points uniformly in the unit cube (candidate pool)."""

@@ -40,6 +40,21 @@ class TestTPESampler:
         with pytest.raises(ValueError):
             TPESampler(2, gamma=1.0)
 
+    @pytest.mark.parametrize("min_points", [0, -1])
+    def test_min_points_below_one_is_rejected(self, min_points):
+        """With no point required the model was 'ready' empty and died in propose."""
+        with pytest.raises(ValueError, match="min_points"):
+            TPESampler(2, min_points=min_points)
+
+    def test_min_points_one_proposes_from_the_model(self, rng):
+        sampler = TPESampler(2, min_points=1, random_fraction=0.0)
+        sampler.observe(np.array([0.2, 0.2]), 0.0)
+        assert not sampler.model_ready()
+        sampler.observe(np.array([0.8, 0.8]), 1.0)
+        assert sampler.model_ready()
+        assert sampler.propose(rng).shape == (2,)
+        assert sampler.last_proposal_was_model
+
     def test_uniform_before_ready(self, rng):
         sampler = TPESampler(3, min_points=5)
         assert not sampler.model_ready()

@@ -16,8 +16,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: ``src_lines`` as PR 24 left it.
-CEILING = 15_898
+#: ``src_lines`` as the KDE fit cache left it.
+CEILING = 15_897
 
 
 def src_lines() -> int:

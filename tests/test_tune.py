@@ -170,6 +170,20 @@ def test_searcher_on_threads_backend():
     assert result.best_loss is not None
 
 
+def test_kde_searcher_rejects_min_points_below_one():
+    """``min_points=0`` used to crash the first model proposal mid-search."""
+    with pytest.raises(ValueError, match="min_points"):
+        tune(
+            quadratic_train,
+            SPACE,
+            max_resource=16.0,
+            searcher="kde",
+            searcher_kwargs={"min_points": 0},
+            num_workers=2,
+            time_limit=2000.0,
+        )
+
+
 def test_bohb_rejects_searcher():
     with pytest.raises(ValueError, match="owns its own sampling"):
         tune(quadratic_train, SPACE, max_resource=16.0, scheduler="bohb", searcher="kde")
