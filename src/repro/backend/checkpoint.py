@@ -82,12 +82,15 @@ class CheckpointStore:
         resource, state = self._store[job.inherit_from]
         return resource, copy.deepcopy(state)
 
-    def _resume_point(self, job: Job, *, consume: bool) -> tuple[float, Any] | None:
+    def resume_point(self, job: Job, *, consume: bool) -> tuple[float, Any] | None:
         """The ``(resource, state)`` checkpoint ``job`` resumes, ``None`` from scratch.
 
-        ``consume`` is the completion-time call: it uses up the dispatch
-        snapshot and emits ``checkpoint_restored``.  Without it this is a
-        pure read, for work that starts training ahead of the completion.
+        ``consume`` is the call that resolves the start: it uses up the
+        dispatch snapshot (or snapshots the donor now) and emits
+        ``checkpoint_restored``.  Without it this is a pure read, for work
+        that starts training ahead of the completion.  Either way the point
+        becomes training state through :meth:`build_state`, which reads
+        nothing of the store and so may run on another thread.
         """
         inherited = job.inherit_from
         if inherited is not None:
@@ -127,16 +130,19 @@ class CheckpointStore:
         that trains speculatively from dispatch ships to its worker, the
         completion still being the call that resolves.
         """
-        return self._begin(self._resume_point(job, consume=not peek), job, objective)
+        return self.build_state(self.resume_point(job, consume=not peek), job, objective)
 
-    def _begin(
-        self, point: tuple[float, Any] | None, job: Job, objective: Objective
+    @staticmethod
+    def build_state(
+        point: tuple[float, Any] | None, job: Job, objective: Objective
     ) -> tuple[float, Any]:
+        """The ``(resource, state)`` training starts from, given :meth:`resume_point`."""
         if point is None:
             return 0.0, objective.initial_state(job.config)
-        return point[0], self.materialize(point[1], objective)
+        return point[0], CheckpointStore.materialize(point[1], objective)
 
-    def materialize(self, state: Any, objective: Objective) -> Any:
+    @staticmethod
+    def materialize(state: Any, objective: Objective) -> Any:
         """Turn a replay placeholder into real training state (identity otherwise).
 
         Objectives are deterministic functions of ``(config, resource)`` —
@@ -160,7 +166,7 @@ class CheckpointStore:
         checkpoint, keeping the telemetry stream byte-identical to a live
         run's.
         """
-        self._resume_point(job, consume=True)
+        self.resume_point(job, consume=True)
         self._store[job.trial_id] = (job.resource, _ReplayedState(job.config, job.resource))
 
     def seed_from_trials(self, trials: dict[int, Any]) -> None:
@@ -204,10 +210,10 @@ class CheckpointStore:
         is resolved, so the event order is the in-process one either way,
         and with a result in hand the objective is never touched.
         """
-        point = self._resume_point(job, consume=True)
+        point = self.resume_point(job, consume=True)
         result = trained() if trained is not None else None
         if result is None:
-            from_resource, state = self._begin(point, job, objective)
+            from_resource, state = self.build_state(point, job, objective)
             result = objective.train(state, job.config, from_resource, job.resource)
         state, loss = result
         self.put(job.trial_id, job.resource, state)

@@ -160,10 +160,6 @@ class FaultManager:
         self.failures: dict[int, int] = {}
         #: Trials quarantined for good.
         self.abandoned: set[int] = set()
-        #: Retries granted so far.
-        self.retries = 0
-        #: Backend time spent on attempts that failed.
-        self.time_lost = 0.0
 
     def attempt_number(self, job: Job) -> int:
         """1-based attempt number the next dispatch of ``job`` would be."""
@@ -173,9 +169,8 @@ class FaultManager:
         """A job completed: reset its trial's consecutive-failure count."""
         self.failures.pop(job.trial_id, None)
 
-    def record_failure(self, job: Job, *, reason: str, lost: float = 0.0) -> FaultDecision:
+    def record_failure(self, job: Job, *, reason: str) -> FaultDecision:
         """Record one failure and decide between retry and quarantine."""
-        self.time_lost += max(lost, 0.0)
         count = self.failures.get(job.trial_id, 0) + 1
         self.failures[job.trial_id] = count
         retryable = reason != "timeout" or self.policy.retry_timeouts
@@ -184,7 +179,6 @@ class FaultManager:
         ):
             self.abandoned.add(job.trial_id)
             return FaultDecision(action="abandon", failures=count)
-        self.retries += 1
         return FaultDecision(
             action="retry", failures=count, delay=self.policy.backoff_for(count)
         )
@@ -228,7 +222,7 @@ def route_failure(
         action = "forfeited"
         study.on_job_failed(job)
     else:
-        decision = faults.record_failure(job, reason=reason, lost=lost)
+        decision = faults.record_failure(job, reason=reason)
         action = "retried" if decision.retry else "abandoned"
         payload.update(attempt=decision.failures, lost=lost)
     if error is not None:
@@ -414,7 +408,7 @@ class FailureInjectingObjective(Objective):
         if self.real_sleep and self._should_hang(config):
             # Thread-pool semantics: the worker really stalls — long enough
             # to trip a wall-clock deadline — then training proceeds (the
-            # watchdog will already have discarded the result if it fired).
+            # master discards the result if the deadline already fired).
             _time.sleep(self.hang_duration)
         if self._should_crash(config):
             raise InjectedFailure(

@@ -12,9 +12,11 @@ Design constraints, in order:
    monotonically increasing sequence number; nothing about emission order
    depends on wall time, so a seeded simulation run produces an identical
    event stream every time.
-3. **Thread safety.**  :class:`~repro.backend.threaded.ThreadPoolBackend`
-   emits from worker threads; the hub serialises ``emit`` with a lock so
-   sinks never need their own.
+3. **Thread safety.**  No backend emits from a worker thread
+   (:class:`~repro.backend.threaded.ThreadPoolBackend` emits from the thread
+   that called ``run``), but callers may share a hub across their own
+   threads; the hub serialises ``emit`` with a lock so sinks never need
+   their own.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ class TelemetryHub:
     def set_time(self, now: float) -> None:
         """Advance the backend clock; subsequent events are stamped ``now``.
 
-        Single-threaded backends (the simulator) call this once per event
-        loop step; multi-threaded backends pass explicit ``time=`` to
-        :meth:`emit` instead.
+        Backends call this once per event-loop step (the simulator) or
+        master wake-up (the thread pool), so the scheduler's own events
+        carry the backend clock.
         """
         self._time = now
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.backend.faults import (
@@ -11,9 +12,14 @@ from repro.backend.faults import (
     FaultManager,
     InjectedFailure,
     RetryPolicy,
+    route_failure,
 )
+from repro.backend.trial_runner import BackendResult
+from repro.core import RandomSearch
 from repro.core.types import Job
-from repro.experiments.toys import toy_objective
+from repro.experiments.toys import toy_objective, toy_space
+from repro.study import Study
+from repro.telemetry import NULL_HUB
 
 
 def job_for(trial_id: int, job_id: int | None = None) -> Job:
@@ -86,10 +92,16 @@ class TestFaultManager:
         assert manager.record_failure(job_for(7, job_id=101), reason="dropped").action == "abandon"
 
     def test_time_lost_accumulates(self):
+        # The manager only decides; the time lost is kept on BackendResult.
         manager = FaultManager(RetryPolicy())
-        manager.record_failure(job_for(0), reason="dropped", lost=3.0)
-        manager.record_failure(job_for(1), reason="churn", lost=4.5)
-        assert manager.time_lost == pytest.approx(7.5)
+        study = Study(RandomSearch(toy_space(), np.random.default_rng(0), max_resource=9.0))
+        result = BackendResult()
+        for trial_id, reason, lost in ((0, "dropped", 3.0), (1, "churn", 4.5)):
+            route_failure(
+                study, result, NULL_HUB, manager, None, job_for(trial_id), 0,
+                reason=reason, lost=lost, time=1.0,
+            )
+        assert result.time_lost_to_failures == pytest.approx(7.5)
 
     def test_attempt_number(self):
         manager = FaultManager(RetryPolicy(max_attempts=5))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import time as _time
 
 import numpy as np
+import pytest
 
 from repro.backend import (
     FailureInjectingObjective,
@@ -15,6 +16,7 @@ from repro.backend import (
 from repro.core import RandomSearch
 from repro.core.contract import ContractChecker
 from repro.experiments.toys import toy_objective
+from repro.telemetry import TelemetryHub
 
 R = 9.0
 
@@ -32,7 +34,7 @@ class TestThreadedRetries:
         objective, rs = make_search(4)
         flaky = FailureInjectingObjective(objective, crash_first=1)
         checked = ContractChecker(rs)
-        backend = ThreadPoolBackend(2, poll_interval=0.001)
+        backend = ThreadPoolBackend(2)
         result = backend.run(
             checked, flaky, time_limit=30.0, retry_policy=RetryPolicy(max_attempts=3)
         )
@@ -49,7 +51,7 @@ class TestThreadedRetries:
     def test_always_crashing_trials_abandoned(self):
         objective, rs = make_search(3)
         doomed = FailureInjectingObjective(objective, crash_first=10**6)
-        backend = ThreadPoolBackend(2, poll_interval=0.001)
+        backend = ThreadPoolBackend(2)
         result = backend.run(
             ContractChecker(rs),
             doomed,
@@ -66,7 +68,7 @@ class TestThreadedRetries:
         traceback; the failure record and event now carry repr(exc)."""
         objective, rs = make_search(2)
         doomed = FailureInjectingObjective(objective, crash_first=10**6)
-        backend = ThreadPoolBackend(2, poll_interval=0.001)
+        backend = ThreadPoolBackend(2)
         result = backend.run(ContractChecker(rs), doomed, time_limit=30.0)
         assert len(result.failure_log) == 2
         for rec in result.failure_log:
@@ -86,7 +88,7 @@ class TestThreadedTimeouts:
         hung = FailureInjectingObjective(
             objective, hang_first=1, hang_duration=1.0, real_sleep=True
         )
-        backend = ThreadPoolBackend(2, poll_interval=0.001)
+        backend = ThreadPoolBackend(2)
         result = backend.run(
             ContractChecker(rs),
             hung,
@@ -109,7 +111,7 @@ class TestThreadedTimeouts:
         hung = FailureInjectingObjective(
             objective, hang_first=1, hang_duration=0.3, real_sleep=True
         )
-        backend = ThreadPoolBackend(2, poll_interval=0.001)
+        backend = ThreadPoolBackend(2)
         result = backend.run(
             ContractChecker(rs),
             hung,
@@ -119,6 +121,26 @@ class TestThreadedTimeouts:
         # One live measurement despite the hung attempt eventually finishing.
         assert len(result.measurements) == 1
         assert result.jobs_dispatched == 2
+
+    def test_utilization_figures_agree_after_a_kill(self):
+        """Both figures count a killed attempt busy until its deadline — not
+        until its hung thread returns, which the result figure used to."""
+        objective, rs = make_search(2)
+        hung = FailureInjectingObjective(
+            objective, hang_first=1, hang_duration=0.6, real_sleep=True
+        )
+        result = ThreadPoolBackend(2).run(
+            rs,
+            hung,
+            time_limit=20.0,
+            telemetry=TelemetryHub.with_metrics(),
+            retry_policy=RetryPolicy(max_attempts=3, timeout=0.1),
+        )
+        assert [rec.reason for rec in result.failure_log] == ["timeout", "timeout"]
+        assert result.utilization == pytest.approx(
+            result.telemetry.mean_utilization(), rel=1e-9
+        )
+        assert result.utilization < 0.5
 
 
 class TestShutdown:
@@ -134,7 +156,7 @@ class TestShutdown:
                 return super().train(state, config, from_resource, to_resource)
 
         sleeper = Sleeper(objective)
-        backend = ThreadPoolBackend(4, poll_interval=0.001, shutdown_grace=0.5)
+        backend = ThreadPoolBackend(4, shutdown_grace=0.5)
         t0 = _time.monotonic()
         result = backend.run(rs, sleeper, time_limit=0.5)
         wall = _time.monotonic() - t0
@@ -142,8 +164,24 @@ class TestShutdown:
         assert wall < 4.0
         assert result.measurements == []
 
-    def test_shutdown_grace_validation(self):
-        import pytest
+    def test_finished_search_waits_at_most_the_grace_for_killed_threads(self):
+        """Once no live job can report, only ``shutdown_grace`` remains: the
+        search below is done at ~0.1 s and used to return at
+        ``time_limit + shutdown_grace`` = 3.5 s."""
+        objective, rs = make_search(1)
+        hung = FailureInjectingObjective(
+            objective, hang_first=1, hang_duration=30.0, real_sleep=True
+        )
+        backend = ThreadPoolBackend(2, shutdown_grace=0.5)
+        t0 = _time.monotonic()
+        result = backend.run(
+            rs, hung, time_limit=3.0, retry_policy=RetryPolicy(max_attempts=3, timeout=0.1)
+        )
+        wall = _time.monotonic() - t0
+        assert len(result.measurements) == 1
+        assert wall < 1.5
+        assert 0.5 <= result.elapsed < 1.5
 
+    def test_shutdown_grace_validation(self):
         with pytest.raises(ValueError):
             ThreadPoolBackend(2, shutdown_grace=-1.0)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.backend import ThreadPoolBackend
+from repro.backend import FailureInjectingObjective, RetryPolicy, ThreadPoolBackend
+from repro.backend.checkpoint import CheckpointStore
 from repro.core import ASHA, RandomSearch
+from repro.experiments.toys import toy_objective
 from repro.objectives import mlp_real
+from repro.study import Study
+from repro.telemetry import EventKind, InMemorySink, TelemetryHub
 
 
 def test_validation():
@@ -19,7 +25,7 @@ def test_validation():
 
 def test_runs_surrogate_search_to_done(one_d_space, rng, toy_obj):
     rs = RandomSearch(one_d_space, rng, max_resource=9.0, max_trials=10)
-    backend = ThreadPoolBackend(4, poll_interval=0.001)
+    backend = ThreadPoolBackend(4)
     result = backend.run(rs, toy_obj, time_limit=30.0)
     assert rs.is_done()
     assert len(result.measurements) == 10
@@ -32,7 +38,7 @@ def test_asha_on_real_mlp():
     asha = ASHA(
         objective.space, rng, min_resource=1.0, max_resource=8.0, eta=2, max_trials=12
     )
-    backend = ThreadPoolBackend(4, poll_interval=0.001)
+    backend = ThreadPoolBackend(4)
     result = backend.run(asha, objective, time_limit=120.0)
     assert asha.is_done()
     assert result.measurements
@@ -56,7 +62,72 @@ def test_objective_exception_reported_as_failure(one_d_space, rng):
             return b - a
 
     rs = RandomSearch(one_d_space, rng, max_resource=9.0, max_trials=3)
-    backend = ThreadPoolBackend(2, poll_interval=0.001)
+    backend = ThreadPoolBackend(2)
     result = backend.run(rs, ExplodingObjective(), time_limit=10.0)
     assert len(result.failures) == 3
     assert result.measurements == []
+
+
+def make_asha(max_trials: int = 12):
+    objective = toy_objective(max_resource=9.0, constant=False)
+    asha = ASHA(
+        objective.space,
+        np.random.default_rng(0),
+        min_resource=1.0,
+        max_resource=9.0,
+        eta=3,
+        max_trials=max_trials,
+    )
+    return asha, objective
+
+
+def test_checkpoint_restored_is_stamped_with_its_dispatch():
+    """The master emits each restore right after its ``job_started``, at the
+    same time — a worker used to emit it at whatever the last ask time was."""
+    asha, objective = make_asha()
+    sink = InMemorySink()
+    ThreadPoolBackend(3).run(asha, objective, time_limit=30.0, telemetry=TelemetryHub([sink]))
+    events = sink.events
+    restores = [i for i, e in enumerate(events) if e.kind is EventKind.CHECKPOINT_RESTORED]
+    assert restores
+    for i in restores:
+        started = events[i - 1]
+        assert started.kind is EventKind.JOB_STARTED
+        assert started.job_id == events[i].job_id
+        assert events[i].time == started.time
+
+
+def test_study_store_and_hub_are_touched_only_by_the_calling_thread(monkeypatch, tmp_path):
+    """Workers only train: every study call, checkpoint-store access and
+    event write happens on the thread that called ``run``."""
+    threads: set[int] = set()
+
+    def on_thread(fn):
+        def wrapped(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("resume_point", "put", "seed_from_trials"):
+        monkeypatch.setattr(CheckpointStore, name, on_thread(getattr(CheckpointStore, name)))
+    for name in ("ask", "tell", "is_done", "on_job_failed", "on_job_requeued", "finalize"):
+        monkeypatch.setattr(Study, name, on_thread(getattr(Study, name)))
+
+    class ThreadSink(InMemorySink):
+        write = on_thread(InMemorySink.write)
+
+    asha, objective = make_asha()
+    flaky = FailureInjectingObjective(objective, crash_first=1)
+    sink = ThreadSink()
+    study = Study(asha, journal=tmp_path / "threads.journal.jsonl")
+    result = ThreadPoolBackend(3).run(
+        study,
+        flaky,
+        time_limit=30.0,
+        telemetry=TelemetryHub([sink]),
+        retry_policy=RetryPolicy(max_attempts=3),
+    )
+    study.close()
+    assert result.measurements and result.failure_log and sink.events
+    assert threads == {threading.get_ident()}

@@ -8,7 +8,72 @@ from hypothesis import strategies as st
 
 from repro.backend import SimulatedCluster
 from repro.core import ASHA, PBT, SynchronousSHA
-from repro.experiments.toys import toy_objective
+from repro.core.rung import Rung
+from repro.experiments.toys import toy_objective, toy_space
+
+
+def assert_within_top_fraction(rung: Rung, trial_id: int, eta: int) -> None:
+    """The promotion bound: a trial promoted out of a rung of ``n`` results
+    ranks in its top ``n // eta`` — with it, at most ``n // eta`` promoted
+    results rank at or above it.  (ASHA may promote more than ``n // eta`` of
+    a rung over time: a later, better arrival enters a top fraction whose
+    earlier occupants were already promoted.)"""
+    key = (rung.losses[trial_id], trial_id)
+    ahead = sum(1 for tid, loss in rung.losses.items() if (loss, tid) < key)
+    assert ahead + 1 <= len(rung) // eta, (trial_id, ahead, len(rung), eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.sampled_from([2, 3, 4]),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("record"), st.integers(0, 20)),
+            st.tuples(st.just("promote"), st.just(0)),
+            st.tuples(st.just("unmark"), st.integers(0, 10**6)),
+        ),
+        max_size=80,
+    ),
+)
+def test_rung_promotes_only_from_its_top_fraction(eta, ops):
+    """Every prefix of any arrival order, with promotions and failed
+    promotions (unmarks) interleaved, stays inside the bound."""
+    rung = Rung(0, 1.0)
+    for op, value in ops:
+        if op == "record":
+            rung.record(len(rung), float(value))  # integer losses force ties
+        elif op == "promote":
+            trial_id = rung.first_promotable(eta)
+            if trial_id is not None:
+                assert_within_top_fraction(rung, trial_id, eta)
+                rung.mark_promoted(trial_id)
+        elif rung.promoted:
+            rung.unmark_promoted(sorted(rung.promoted)[value % len(rung.promoted)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    eta=st.sampled_from([2, 3, 4]),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=150),
+)
+def test_asha_promotes_only_from_top_fractions(seed, eta, picks):
+    """ASHA over ask/tell: one ask per step, then a random in-flight job
+    reports — except on every third pick, which lets the in-flight set grow."""
+    rng = np.random.default_rng(seed)
+    asha = ASHA(
+        toy_space(), rng, min_resource=1.0, max_resource=float(eta**3), eta=eta, max_trials=60
+    )
+    in_flight = []
+    for pick in picks:
+        job = asha.next_job()
+        if job is not None:
+            if job.rung > 0:
+                assert_within_top_fraction(asha.bracket.rung(job.rung - 1), job.trial_id, eta)
+            in_flight.append(job)
+        if in_flight and pick % 3:
+            done = in_flight.pop(pick % len(in_flight))
+            asha.report(done, float(rng.random()))
 
 
 @settings(max_examples=20, deadline=None)

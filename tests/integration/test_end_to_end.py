@@ -95,7 +95,7 @@ def test_scheduler_on_thread_pool(name):
     objective = toy_objective(max_resource=R, constant=False)
     rng = np.random.default_rng(3)
     scheduler = all_schedulers(objective.space, rng)[name]
-    backend = ThreadPoolBackend(3, poll_interval=0.001)
+    backend = ThreadPoolBackend(3)
     result = backend.run(scheduler, objective, time_limit=10.0, max_measurements=150)
     assert result.measurements
     assert scheduler.best_trial().last_loss < 0.5
@@ -120,6 +120,6 @@ def test_same_scheduler_same_seed_same_answer_across_backends():
         lambda s, o: SimulatedCluster(1, seed=0).run(s, o, time_limit=1e9)
     )
     threaded = best_with(
-        lambda s, o: ThreadPoolBackend(1, poll_interval=0.0005).run(s, o, time_limit=60.0)
+        lambda s, o: ThreadPoolBackend(1).run(s, o, time_limit=60.0)
     )
     assert sim == threaded

@@ -425,7 +425,7 @@ def test_threaded_retries_are_counted_at_the_same_site(registry):
     search = RandomSearch(
         objective.space, np.random.default_rng(0), max_resource=9.0, max_trials=4
     )
-    result = ThreadPoolBackend(2, poll_interval=0.001).run(
+    result = ThreadPoolBackend(2).run(
         search,
         FailureInjectingObjective(objective, crash_first=1),
         time_limit=30.0,

@@ -16,8 +16,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: ``src_lines`` as the KDE fit cache left it.
-CEILING = 15_897
+#: ``src_lines`` as the master-thread rewrite of the thread pool left it.
+CEILING = 15_745
 
 
 def src_lines() -> int:
