@@ -185,11 +185,7 @@ class CheckpointStore:
                 self._store[trial.trial_id] = (resource, _ReplayedState(trial.config, resource))
 
     def put(self, trial_id: int, resource: float, state: Any) -> None:
-        """Persist ``trial_id``'s checkpoint: trained to ``resource``, ``state``.
-
-        The public write path — backends that train outside the store (the
-        thread pool) use this instead of reaching into the internal dict.
-        """
+        """Persist ``trial_id``'s checkpoint: trained to ``resource``, ``state``."""
         if resource < 0:
             raise ValueError(f"checkpoint resource must be >= 0, got {resource}")
         self._store[trial_id] = (resource, state)

@@ -80,13 +80,13 @@ class RetryPolicy:
         Simulator-only deadline: a dispatched job is killed once it has run
         for ``timeout_factor`` times its *expected* cost (the objective's
         nominal cost model, before straggler stretching or injected hangs).
-        ``None`` disables simulated deadlines.
+        The thread pool refuses it.  ``None`` disables simulated deadlines.
     timeout:
-        Thread-pool deadline in wall-clock seconds per dispatched job.
-        Python threads cannot be preempted, so a timed-out job's worker
-        stays busy until ``train`` returns — but the scheduler is released
-        immediately: the result is discarded and the job becomes eligible
-        for retry on another worker.  ``None`` disables wall-clock deadlines.
+        Thread-pool deadline in wall-clock seconds per dispatched job; the
+        simulator refuses it.  Python threads cannot be preempted, so a
+        timed-out job's worker stays busy until ``train`` returns — but the
+        scheduler is released at the deadline: the result is discarded and
+        the job becomes eligible for retry on another worker.
     retry_timeouts:
         Whether timed-out jobs are eligible for retry (default) or abandon
         their trial on the first deadline kill.
@@ -211,8 +211,7 @@ def route_failure(
     granted retry.  Without a fault manager the attempt is forfeited and
     ``None`` is returned; otherwise the manager's decision is, and when it
     says ``retry`` the caller re-dispatches ``job`` as attempt
-    ``decision.failures + 1`` at ``time + decision.delay`` — by whatever
-    means its clock offers (a queued event, a backoff list).
+    ``decision.failures + 1`` at ``time + decision.delay``.
     """
     result.failures.append((time, job.trial_id))
     result.time_lost_to_failures += lost

@@ -82,8 +82,15 @@ class SimRun:
     ``fill_cap`` bounds how many jobs one :meth:`fill_round` dispatches, so
     a driver can round-robin fills across runs (the multiplexer's
     fair-share knob); ``None`` fills every free worker in one round, the
-    solo behaviour.
+    solo behaviour.  What depends on the clock is a hook (:meth:`_start`,
+    :meth:`_settle`, :meth:`_release`), which is all the wall-clock
+    :class:`~repro.backend.threaded.ThreadPoolBackend` overrides.
     """
+
+    #: The :class:`RetryPolicy` deadline fields this clock honours and refuses.
+    deadline_fields = ("timeout_factor", "timeout")
+    #: Runtime probe bundle and ``backend`` label the run's retries count in.
+    probes_as = ("retries", "simulation")
 
     def __init__(
         self,
@@ -105,6 +112,12 @@ class SimRun:
             raise ValueError(f"time_limit must be positive, got {time_limit}")
         if fill_cap is not None and fill_cap < 1:
             raise ValueError(f"fill_cap must be >= 1, got {fill_cap}")
+        honoured, refused = self.deadline_fields
+        if getattr(retry_policy, refused, None) is not None:
+            raise ValueError(
+                f"RetryPolicy.{refused} is never enforced on this backend's clock; "
+                f"set RetryPolicy.{honoured} instead"
+            )
         self.cluster = cluster
         self.queue = queue
         self.objective = objective
@@ -173,7 +186,7 @@ class SimRun:
         self.tick_box: list[int] | None = None
         self.last_dispatch_tick = 0
         # None unless a runtime registry is installed (repro.telemetry.runtime).
-        self.retry_probes = runtime.probes("retries", backend="simulation")
+        self.retry_probes = runtime.probes(self.probes_as[0], backend=self.probes_as[1])
 
     # --------------------------------------------------------- event wiring
 
@@ -195,41 +208,17 @@ class SimRun:
     # ------------------------------------------------------------- dispatch
 
     def launch(self, job: Job, worker: int, attempt: int) -> None:
-        cluster = self.cluster
-        store = self.store
         gen = self.generation.get(job.job_id, 0) + 1
         self.generation[job.job_id] = gen
         self.in_flight[job.job_id] = job
         self.live_pos[job.job_id] = len(self.live_ids)
         self.live_ids.append(job.job_id)
         self.worker_of_job[job.job_id] = worker
-        store.prepare(job)  # snapshot donor state for inheriting jobs
-        duration = cluster._duration(store.job_cost(job, self.objective))
-        drop_at = cluster._drop_time(duration)
-        # Busy time is credited optimistically at dispatch (capped at the
-        # remaining budget); kills and early exits roll back the unspent
-        # part in ``kill``/``finish``.
-        credit = min(
-            drop_at if drop_at is not None else duration,
-            max(self.time_limit - self.clock, 0.0),
-        )
+        self.store.prepare(job)  # snapshot donor state for inheriting jobs
+        credit = self._start(job, gen, worker)
         self.busy_time += credit
         self.dispatched_at[job.job_id] = self.clock
         self.credited[job.job_id] = credit
-        if drop_at is not None:
-            self._push(self.clock + drop_at, "drop", (job, gen))
-        else:
-            self._push(self.clock + duration, "complete", (job, gen))
-        if self.faults is not None and self.retry_policy is not None:
-            deadline = self.retry_policy.sim_deadline(
-                self.nominal_cost(job.config, store.start_resource(job), job.resource)
-            )
-            if deadline is not None:
-                self._push(self.clock + deadline, "timeout", (job, gen))
-        # A job whose result the journal already holds needs no speculative
-        # training (the pool would otherwise fork for nothing).
-        if self.pool is not None and not self.study.has_cached_loss(job.job_id):
-            self.pool.prefetch(job, *store.starting_state(job, self.objective, peek=True))
         if self.hub:
             extra = {"attempt": attempt} if attempt > 1 else {}
             self.hub.emit(
@@ -244,6 +233,40 @@ class SimRun:
                 busy_credit=credit,
                 **extra,
             )
+
+    def _start(self, job: Job, gen: int, worker: int) -> float:  # noqa: ARG002
+        """Put dispatch ``gen`` of ``job`` on the calendar; returns the busy time credited.
+
+        The known duration is credited up front, capped at the remaining
+        budget; ``kill``/``finish`` roll back what an attempt did not spend.
+        """
+        cluster = self.cluster
+        store = self.store
+        duration = cluster._duration(store.job_cost(job, self.objective))
+        drop_at = cluster._drop_time(duration)
+        if drop_at is not None:
+            self._push(self.clock + drop_at, "drop", (job, gen))
+        else:
+            self._push(self.clock + duration, "complete", (job, gen))
+        if self.retry_policy is not None:
+            deadline = self.retry_policy.sim_deadline(
+                self.nominal_cost(job.config, store.start_resource(job), job.resource)
+            )
+            if deadline is not None:
+                self._push(self.clock + deadline, "timeout", (job, gen))
+        # A job whose result the journal already holds needs no speculative
+        # training (the pool would otherwise fork for nothing).
+        if self.pool is not None and not self.study.has_cached_loss(job.job_id):
+            self.pool.prefetch(job, *store.starting_state(job, self.objective, peek=True))
+        return min(duration if drop_at is None else drop_at, max(self.time_limit - self.clock, 0.0))
+
+    def _settle(self, started: float, credit: float) -> float:  # noqa: ARG002
+        """Busy time owed beyond ``credit`` to an attempt ending now: none, it was exact."""
+        return 0.0
+
+    def _release(self, worker: int) -> None:
+        """A timed-out attempt's ``worker`` may take the next job now."""
+        heapq.heappush(self.free_ids, worker)
 
     def fill_round(self) -> bool:
         """Fill free workers: queued retries first, then one ask per worker.
@@ -317,7 +340,7 @@ class SimRun:
         worker = self.worker_of_job.pop(job.job_id, None)
         started = self.dispatched_at.pop(job.job_id, self.clock)
         credit = self.credited.pop(job.job_id, 0.0)
-        lost = min(max(self.clock - started, 0.0), credit)
+        lost = min(max(self.clock - started, 0.0), credit + self._settle(started, credit))
         correction = lost - credit
         self.busy_time += correction
         self._discard(job)
@@ -401,8 +424,11 @@ class SimRun:
             self.schedule_churn()
             return True
         if kind == "rejoin":
-            heapq.heappush(self.free_ids, self.next_worker_id)
-            self.next_worker_id += 1
+            worker = event.payload[1]
+            if worker is None:  # a churned worker comes back under a fresh id
+                worker = self.next_worker_id
+                self.next_worker_id += 1
+            heapq.heappush(self.free_ids, worker)
             return True
         if kind == "retry":
             if self.pending_retries is None:
@@ -413,7 +439,7 @@ class SimRun:
         if kind == "timeout":
             worker, lost, correction = self.kill(job)
             if worker is not None:
-                heapq.heappush(self.free_ids, worker)
+                self._release(worker)
             self.handle_failure(
                 job, worker, reason="timeout", lost=lost, correction=correction
             )
@@ -421,8 +447,9 @@ class SimRun:
             self.in_flight.pop(job.job_id, None)
             self._live_discard(job.job_id)
             worker = self.worker_of_job.pop(job.job_id, None)
-            self.dispatched_at.pop(job.job_id, None)
             credit = self.credited.pop(job.job_id, 0.0)
+            correction = self._settle(self.dispatched_at.pop(job.job_id, self.clock), credit)
+            self.busy_time += correction
             if worker is not None:
                 heapq.heappush(self.free_ids, worker)
             if kind == "complete":
@@ -443,7 +470,8 @@ class SimRun:
                         failed = True
                         self._discard(job)
                         self.handle_failure(
-                            job, worker, reason="exception", lost=credit, error=repr(exc)
+                            job, worker, reason="exception", error=repr(exc),
+                            lost=credit + correction, correction=correction,
                         )
                 if not failed:
                     if self.faults is not None:
@@ -467,6 +495,7 @@ class SimRun:
                             bracket=job.bracket,
                             loss=loss,
                             resource=job.resource,
+                            **({"busy_correction": correction} if correction else {}),
                         )
             else:  # drop
                 self._discard(job)
@@ -508,7 +537,7 @@ class SimRun:
         busy_time = self.busy_time
         for job_id, started in self.dispatched_at.items():
             credit = self.credited[job_id]
-            worked = min(max(result.elapsed - started, 0.0), credit)
+            worked = min(max(result.elapsed - started, 0.0), credit + self._settle(started, credit))
             busy_time += worked - credit
         horizon = max(result.elapsed, 1e-12)
         result.utilization = min(
@@ -546,6 +575,7 @@ def drive_runs(
     runs: list[SimRun],
     *,
     on_tick: Callable[[], None] | None = None,
+    wait: Callable[[float | None], bool] | None = None,
 ) -> None:
     """Deliver events from ``queue`` to their owning runs until all finish.
 
@@ -559,7 +589,9 @@ def drive_runs(
     past its time budget, and otherwise delivers it.
 
     ``on_tick`` runs after each delivered event (and its fills) — the
-    multiplexer's group-commit hook.
+    multiplexer's group-commit hook.  ``wait(until)`` is a wall clock's:
+    it blocks until the next live event's time (``None``: none is due) and
+    says whether it put an event of its own on the calendar meanwhile.
 
     The cyclic-garbage collector is paused for the duration of the loop: it
     allocates heavily (jobs, events, measurements) but creates no cycles
@@ -567,9 +599,9 @@ def drive_runs(
     passes cost ~20% of wall time at 100-worker scale.  Scoped and restored
     in ``finally`` — callers that already disabled gc (or nested runs) are
     left untouched, and everything deferred is swept on the next collection
-    after re-enable.
+    after re-enable.  Not under a ``wait``: that time is other threads' training.
     """
-    gc_was_enabled = gc.isenabled()
+    gc_was_enabled = gc.isenabled() and wait is None
     if gc_was_enabled:
         gc.disable()
     try:
@@ -581,7 +613,11 @@ def drive_runs(
         for run in runs:
             run.schedule_churn()
         active = len(runs)
-        while queue and active:
+        while active:
+            if not queue:
+                if wait is not None and wait(None):
+                    continue
+                break
             head = queue.peek()
             assert head is not None
             run = head.payload[0]
@@ -596,6 +632,8 @@ def drive_runs(
                     # clock.
                     queue.discard_next()
                     continue
+            if wait is not None and wait(head.time):
+                continue
             if head.time > run.time_limit:
                 run.budget_exhausted = True
                 run.done = True

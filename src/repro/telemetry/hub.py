@@ -70,9 +70,8 @@ class TelemetryHub:
     def set_time(self, now: float) -> None:
         """Advance the backend clock; subsequent events are stamped ``now``.
 
-        Backends call this once per event-loop step (the simulator) or
-        master wake-up (the thread pool), so the scheduler's own events
-        carry the backend clock.
+        Backends call this once per event-loop step, so the scheduler's own
+        events carry the backend clock.
         """
         self._time = now
 

@@ -390,8 +390,8 @@ class MetricsCollector:
             freed = self._worker_free_at.pop(worker, None)
             if freed is not None:
                 self.registry.histogram("queue_wait").observe(max(event.time - freed, 0.0))
-            # The simulator credits a job's busy time at dispatch (it knows
-            # the duration up front); real backends credit at completion.
+            # Busy time is credited at dispatch — the simulator's whole
+            # duration, the wall clock's zero — and settled at the end.
             credit = event.data.get("busy_credit")
             if credit is not None:
                 self._credit_busy(worker, float(credit), event.time)
@@ -416,12 +416,9 @@ class MetricsCollector:
         if worker is None:
             return
         self._worker_free_at[worker] = event.time
-        busy = event.data.get("busy")
-        if busy is not None:
-            self._credit_busy(worker, float(busy), event.time)
-        # The simulator credits busy time optimistically at dispatch; when a
-        # job is killed mid-flight it emits the (negative) difference between
-        # the time actually worked and the credit taken up front.
+        # The difference between the time the attempt really worked and its
+        # dispatch credit: negative for a simulated kill, the whole duration
+        # for a wall-clock attempt.
         correction = event.data.get("busy_correction")
         if correction is not None:
             self._credit_busy(worker, float(correction), event.time)

@@ -180,3 +180,50 @@ class TestFailureInjectingObjective:
         assert objective.cost(config, 0.0, 9.0) == pytest.approx(
             objective.nominal_cost(config, 0.0, 9.0)
         )
+
+
+class TestDeadlineFieldMatchesTheClock:
+    """A deadline the backend's clock cannot honour is refused, not ignored:
+    a simulated run used to let ``timeout=`` (seconds) never fire."""
+
+    def _search(self):
+        objective = toy_objective(max_resource=9.0)
+        hung = FailureInjectingObjective(objective, hang_first=1, hang_duration=100.0)
+        rs = RandomSearch(objective.space, np.random.default_rng(0), max_resource=9.0, max_trials=2)
+        return rs, hung
+
+    def test_simulated_run_refuses_a_wall_clock_timeout(self):
+        from repro.backend import SimulatedCluster
+
+        rs, hung = self._search()
+        with pytest.raises(ValueError, match=r"set RetryPolicy\.timeout_factor instead"):
+            SimulatedCluster(2, seed=0).run(
+                rs, hung, time_limit=500.0, retry_policy=RetryPolicy(timeout=1.0)
+            )
+
+    def test_multiplexer_refuses_a_wall_clock_timeout(self):
+        from repro.backend import SimulatedCluster
+        from repro.study import StudyMultiplexer
+
+        rs, hung = self._search()
+        with pytest.raises(ValueError, match=r"RetryPolicy\.timeout_factor"):
+            StudyMultiplexer().add(
+                rs,
+                hung,
+                cluster=SimulatedCluster(2, seed=0),
+                time_limit=500.0,
+                retry_policy=RetryPolicy(timeout=1.0),
+            )
+
+    def test_tune_refuses_a_wall_clock_timeout_on_the_simulator(self):
+        from repro.tune import tune
+
+        with pytest.raises(ValueError, match=r"RetryPolicy\.timeout_factor"):
+            tune(
+                lambda config, state, a, b: (state, config["quality"]),
+                toy_space(),
+                max_resource=9,
+                scheduler="random",
+                scheduler_kwargs={"max_trials": 2},
+                retry_policy=RetryPolicy(timeout=1.0),
+            )

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.backend import FailureInjectingObjective, RetryPolicy, ThreadPoolBackend
+from repro.backend import (
+    FailureInjectingObjective,
+    RetryPolicy,
+    SimulatedCluster,
+    ThreadPoolBackend,
+)
 from repro.backend.checkpoint import CheckpointStore
 from repro.core import ASHA, RandomSearch
 from repro.experiments.toys import toy_objective
@@ -68,6 +74,41 @@ def test_objective_exception_reported_as_failure(one_d_space, rng):
     assert result.measurements == []
 
 
+class SlowTrain(FailureInjectingObjective):
+    """Each ``train`` call takes 20 ms of wall time."""
+
+    def train(self, state, config, from_resource, to_resource):
+        time.sleep(0.02)
+        return super().train(state, config, from_resource, to_resource)
+
+
+@pytest.mark.parametrize("workers", [4, 8])
+def test_max_measurements_is_a_cap(workers):
+    """The run ends at the cap, as the simulator's does: jobs still training
+    then are not recorded (the pool used to wait for them and record 13 with
+    4 workers, 17 with 8)."""
+    for backend in (SimulatedCluster(workers), ThreadPoolBackend(workers)):
+        objective = toy_objective(max_resource=9.0)
+        rs = RandomSearch(
+            objective.space, np.random.default_rng(0), max_resource=9.0, max_trials=40
+        )
+        result = backend.run(rs, SlowTrain(objective), time_limit=30.0, max_measurements=10)
+        assert len(result.measurements) == 10
+        assert sum(len(t.measurements) for t in rs.trials.values()) == 10
+
+
+def test_simulator_deadline_field_is_refused():
+    """``timeout_factor`` prices a deadline in cost-model units the wall clock
+    does not have; it used to be ignored."""
+    objective = toy_objective(max_resource=9.0)
+    rs = RandomSearch(objective.space, np.random.default_rng(0), max_resource=9.0, max_trials=2)
+    hung = FailureInjectingObjective(objective, hang_first=1, hang_duration=0.5, real_sleep=True)
+    with pytest.raises(ValueError, match=r"set RetryPolicy\.timeout instead"):
+        ThreadPoolBackend(2).run(
+            rs, hung, time_limit=10.0, retry_policy=RetryPolicy(timeout_factor=0.001)
+        )
+
+
 def make_asha(max_trials: int = 12):
     objective = toy_objective(max_resource=9.0, constant=False)
     asha = ASHA(
@@ -81,9 +122,9 @@ def make_asha(max_trials: int = 12):
     return asha, objective
 
 
-def test_checkpoint_restored_is_stamped_with_its_dispatch():
-    """The master emits each restore right after its ``job_started``, at the
-    same time — a worker used to emit it at whatever the last ask time was."""
+def test_checkpoint_restored_is_stamped_with_its_completion():
+    """As in the simulator, the completion resolves the resume: each restore
+    comes right before its job's ``report``, at the same time."""
     asha, objective = make_asha()
     sink = InMemorySink()
     ThreadPoolBackend(3).run(asha, objective, time_limit=30.0, telemetry=TelemetryHub([sink]))
@@ -91,10 +132,10 @@ def test_checkpoint_restored_is_stamped_with_its_dispatch():
     restores = [i for i, e in enumerate(events) if e.kind is EventKind.CHECKPOINT_RESTORED]
     assert restores
     for i in restores:
-        started = events[i - 1]
-        assert started.kind is EventKind.JOB_STARTED
-        assert started.job_id == events[i].job_id
-        assert events[i].time == started.time
+        report = events[i + 1]
+        assert report.kind is EventKind.REPORT
+        assert report.job_id == events[i].job_id
+        assert events[i].time == report.time
 
 
 def test_study_store_and_hub_are_touched_only_by_the_calling_thread(monkeypatch, tmp_path):

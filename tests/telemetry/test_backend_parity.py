@@ -1,11 +1,11 @@
 """Event-stream parity between the two backends.
 
-``SimulatedCluster`` and ``ThreadPoolBackend`` must emit the same
-trial-lifecycle vocabulary — the same event kinds with the same identity
-fields and payload keys — so downstream consumers (metrics aggregation,
-trace reconstruction) stay backend-agnostic.  The backends legitimately
-differ only in accounting fields tied to how each one measures busy time;
-those divergences are pinned here as an explicit allowlist (documented in
+``SimulatedCluster`` and ``ThreadPoolBackend`` run the same master loop and
+must emit the same trial-lifecycle vocabulary — the same event kinds with
+the same identity fields and payload keys — so downstream consumers
+(metrics aggregation, trace reconstruction) stay backend-agnostic.  The
+clocks legitimately differ only in when they learn a job's busy time; that
+divergence is pinned here as an explicit allowlist (documented in
 ``docs/telemetry.md``), so any *new* divergence fails this test instead of
 silently skewing one backend's traces.
 """
@@ -21,25 +21,16 @@ from repro.experiments.toys import scripted_sampler, toy_objective, toy_space
 from repro.searchers import FunctionSearcher
 from repro.telemetry import InMemorySink, TelemetryHub
 
-#: Payload keys each backend is *allowed* to emit that the other does not.
-#: Simulator-only keys expose its optimistic busy-credit accounting (credit
-#: granted at dispatch, rolled back on kills); thread-only keys expose real
-#: measured busy intervals, which the simulator cannot know per report.
-SIM_ONLY = {
-    "job_started": {"busy_credit"},
-    "job_failed": {"busy_correction"},
-    "job_timeout": {"busy_correction"},
-    "worker_idle": {"free_workers"},
-}
+#: Payload keys the thread pool may emit that the simulator does not.  The
+#: simulator knows an attempt's duration at dispatch and credits it there
+#: (``busy_credit``), so a completion owes nothing; the wall clock credits
+#: nothing at dispatch and learns the duration only when the thread
+#: returns, so its completions — reports and crashes — carry the
+#: ``busy_correction``.  (Both clocks put it on kills: timeouts, churn.)
 THREADS_ONLY = {
-    "report": {"busy"},
-    "job_failed": {"busy"},
-    "job_timeout": {"busy"},
+    "report": {"busy_correction"},
+    "job_failed": {"busy_correction"},
 }
-
-#: The one core-field divergence: the simulator's WORKER_IDLE describes the
-#: whole starved pool (``free_workers``), the thread pool's one idle thread.
-CORE_FIELD_EXEMPT_KINDS = {"worker_idle"}
 
 CORE_FIELDS = ("trial_id", "job_id", "worker_id", "rung", "bracket")
 
@@ -91,9 +82,12 @@ def _core_presence(events) -> dict[str, set[str]]:
 def _assert_keys_match(sim_events, thread_events):
     sim_keys = _payload_keys(sim_events)
     thread_keys = _payload_keys(thread_events)
-    for kind in sorted(set(sim_keys) | set(thread_keys)):
-        sim = sim_keys.get(kind, set()) - SIM_ONLY.get(kind, set())
-        threads = thread_keys.get(kind, set()) - THREADS_ONLY.get(kind, set())
+    # Kinds are pinned by the vocabulary tests; a kind only one clock
+    # happened to emit (``worker_idle`` depends on timing) has no keys to
+    # compare.
+    for kind in sorted(set(sim_keys) & set(thread_keys)):
+        sim = sim_keys[kind]
+        threads = thread_keys[kind] - THREADS_ONLY.get(kind, set())
         assert sim == threads, f"{kind}: sim payload {sim} != threads payload {threads}"
 
 
@@ -129,17 +123,18 @@ class TestCleanRunParity:
     def test_core_fields_match(self):
         sim = _core_presence(self.sim)
         threads = _core_presence(self.threads)
-        for kind in set(sim) & set(threads) - CORE_FIELD_EXEMPT_KINDS:
+        for kind in set(sim) & set(threads):
             assert sim[kind] == threads[kind], kind
 
     def test_allowlisted_keys_really_diverge(self):
         """The allowlist documents reality — prune it if a key disappears."""
         sim_keys = _payload_keys(self.sim)
         thread_keys = _payload_keys(self.threads)
+        assert "busy_correction" in thread_keys["report"]
+        assert "busy_correction" not in sim_keys["report"]
+        # Both clocks credit at dispatch; the wall clock's credit is zero.
         assert "busy_credit" in sim_keys["job_started"]
-        assert "busy_credit" not in thread_keys["job_started"]
-        assert "busy" in thread_keys["report"]
-        assert "busy" not in sim_keys["report"]
+        assert "busy_credit" in thread_keys["job_started"]
 
 
 class TestFaultPathParity:

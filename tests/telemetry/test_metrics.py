@@ -126,7 +126,7 @@ class TestMetricsCollector:
         hub, collector = _hub()
         hub.emit(EventKind.JOB_STARTED, trial_id=0, worker_id=0, busy_credit=3.0)
         hub.set_time(5.0)
-        hub.emit(EventKind.REPORT, trial_id=1, worker_id=1, loss=0.2, busy=2.0)
+        hub.emit(EventKind.REPORT, trial_id=1, worker_id=1, loss=0.2, busy_correction=2.0)
         collector.finalize(elapsed=10.0, num_workers=2)
         assert collector.worker_utilization() == {0: 0.3, 1: 0.2}
         report = collector.report()

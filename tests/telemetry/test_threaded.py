@@ -65,9 +65,12 @@ class TestThreadedTelemetry:
         # Sequence numbers are unique and ordered despite concurrent emission.
         seqs = [e.seq for e in memory.events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        # Every report carries its busy interval for the utilisation series.
+        # Nothing is credited at dispatch; every report settles the busy
+        # time its attempt really took, for the utilisation series.
+        started = [e for e in memory.events if e.kind.value == "job_started"]
+        assert started and all(e.data["busy_credit"] == 0.0 for e in started)
         reports = [e for e in memory.events if e.kind.value == "report"]
-        assert reports and all(e.data["busy"] >= 0.0 for e in reports)
+        assert reports and all(e.data["busy_correction"] > 0.0 for e in reports)
 
     def test_telemetry_off_leaves_result_bare(self):
         result = _tuned(2, None)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: ``src_lines`` as the master-thread rewrite of the thread pool left it.
-CEILING = 15_745
+#: ``src_lines`` once the thread pool became a ``SimRun`` on a wall clock.
+CEILING = 15_695
 
 
 def src_lines() -> int:
