@@ -40,15 +40,11 @@ import numpy as np
 
 from ..core.types import Config, Job
 from ..objectives.base import Objective
-from ..study import Study
-from ..telemetry import EventKind
-from .trial_runner import BackendResult, FailureRecord
 
 __all__ = [
     "RetryPolicy",
     "FaultDecision",
     "FaultManager",
-    "route_failure",
     "InjectedFailure",
     "FailureInjectingObjective",
 ]
@@ -182,108 +178,6 @@ class FaultManager:
         return FaultDecision(
             action="retry", failures=count, delay=self.policy.backoff_for(count)
         )
-
-
-def route_failure(
-    study: Study,
-    result: BackendResult,
-    hub: Any,
-    faults: FaultManager | None,
-    probes: Any,
-    job: Job,
-    worker_id: int | None,
-    *,
-    reason: str,
-    lost: float,
-    time: float,
-    error: str | None = None,
-    **extra: Any,
-) -> FaultDecision | None:
-    """Route one failed attempt — forfeit, retry, or abandon — for any backend.
-
-    Everything the backends share happens here, stamped with the backend's
-    ``time``: the :class:`BackendResult` accounting and
-    :class:`FailureRecord`, the study's fault hook, and the
-    ``job_failed``/``job_timeout``, ``job_retried`` and ``trial_abandoned``
-    events (``extra`` carries the backend's own accounting keys onto the
-    failure event) and ``probes`` is the backend's runtime bundle (``None``
-    when probing is off), whose ``retries`` counter advances on every
-    granted retry.  Without a fault manager the attempt is forfeited and
-    ``None`` is returned; otherwise the manager's decision is, and when it
-    says ``retry`` the caller re-dispatches ``job`` as attempt
-    ``decision.failures + 1`` at ``time + decision.delay``.
-    """
-    result.failures.append((time, job.trial_id))
-    result.time_lost_to_failures += lost
-    payload: dict[str, Any] = {"reason": reason}
-    if faults is None:
-        decision = None
-        action = "forfeited"
-        study.on_job_failed(job)
-    else:
-        decision = faults.record_failure(job, reason=reason)
-        action = "retried" if decision.retry else "abandoned"
-        payload.update(attempt=decision.failures, lost=lost)
-    if error is not None:
-        payload["error"] = error
-    result.failure_log.append(
-        FailureRecord(
-            time=time,
-            trial_id=job.trial_id,
-            job_id=job.job_id,
-            reason=reason,
-            action=action,
-            attempt=payload.get("attempt", 1),
-            error=error,
-            lost=lost,
-        )
-    )
-    if hub:
-        hub.emit(
-            EventKind.JOB_TIMEOUT if reason == "timeout" else EventKind.JOB_FAILED,
-            time=time,
-            trial_id=job.trial_id,
-            job_id=job.job_id,
-            worker_id=worker_id,
-            rung=job.rung,
-            bracket=job.bracket,
-            **payload,
-            **extra,
-        )
-    if decision is None:
-        return None
-    if decision.retry:
-        result.jobs_retried += 1
-        if probes is not None:
-            probes.retries.inc()
-        study.on_job_requeued(job)
-        if hub:
-            hub.emit(
-                EventKind.JOB_RETRIED,
-                time=time,
-                trial_id=job.trial_id,
-                job_id=job.job_id,
-                rung=job.rung,
-                bracket=job.bracket,
-                attempt=decision.failures + 1,
-                delay=decision.delay,
-                retry_at=time + decision.delay,
-            )
-    else:
-        result.trials_abandoned += 1
-        study.on_trial_abandoned(job)
-        if hub:
-            hub.emit(
-                EventKind.TRIAL_ABANDONED,
-                time=time,
-                trial_id=job.trial_id,
-                job_id=job.job_id,
-                rung=job.rung,
-                bracket=job.bracket,
-                failures=decision.failures,
-                reason=reason,
-            )
-    return decision
 
 
 class InjectedFailure(RuntimeError):

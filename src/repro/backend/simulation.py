@@ -47,20 +47,41 @@ from typing import Callable
 import numpy as np
 
 from ..core.scheduler import Scheduler
-from ..core.types import Job
+from ..core.types import Job, Measurement
 from ..objectives.base import Objective
 from ..study import Study
 from ..telemetry import EventKind, TelemetryHub, runtime
+from ..telemetry.tracing import TraceBuilder
 from .checkpoint import CheckpointStore
 from .events import EventQueue
-from .faults import FaultManager, RetryPolicy, route_failure
-from .trial_runner import BackendResult, bracket_counter, record_report, wire_telemetry
+from .faults import FaultManager, RetryPolicy
+from .trial_runner import BackendResult, FailureRecord
 
 __all__ = ["SimRun", "SimulatedCluster", "drive_runs"]
 
 
-#: Event kinds that reference one in-flight dispatch (and can go stale).
+#: Event kinds that carry one attempt (and go stale once it has ended).
 _JOB_EVENT_KINDS = frozenset(("complete", "drop", "timeout"))
+
+
+class _Attempt:
+    """One dispatch of a job: what its calendar events and thread hand-offs carry.
+
+    A retried job is re-issued verbatim under its job id, so the attempt,
+    not the id, tells one dispatch from the next.  ``index`` is its slot in
+    :attr:`SimRun.live` while it runs and ``-1`` once it has ended, which is
+    what makes an event still carrying it stale.
+    """
+
+    __slots__ = ("job", "worker", "started", "credit", "index")
+
+    def __init__(self, job: Job, worker: int, started: float, index: int) -> None:
+        self.job = job
+        self.worker = worker
+        self.started = started
+        #: Busy time credited at dispatch; see :meth:`SimRun._start`.
+        self.credit = 0.0
+        self.index = index
 
 
 class SimRun:
@@ -130,9 +151,25 @@ class SimRun:
         )
         self.store = CheckpointStore()
         self.result = BackendResult()
-        self.study, self.hub, self.tracer = wire_telemetry(scheduler, telemetry, trace)
-        self.bracket_snapshot = bracket_counter(self.study)
-        self.store.telemetry = self.hub
+        # A bare scheduler gets an unjournalled Study, so there is one code
+        # path; ``trace`` rides a TraceBuilder on the hub (made if absent).
+        self.study = study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
+        hub = telemetry if telemetry is not None else study.telemetry
+        self.tracer = None
+        if trace:
+            self.tracer = TraceBuilder()
+            if not hub:
+                hub = TelemetryHub()
+            hub.add_sink(self.tracer)
+        if telemetry is not None or trace:
+            study.attach_telemetry(hub)
+        self.hub = self.store.telemetry = hub
+        # Each measurement logs the scheduler's ``completed_brackets`` (a
+        # method on SynchronousSHA, an attribute on Hyperband, else absent).
+        counter = getattr(study.scheduler, "completed_brackets", None)
+        if counter is not None and not callable(counter):
+            counter = partial(getattr, study.scheduler, "completed_brackets")
+        self.bracket_snapshot = counter
         # A snapshot-restored study arrives with trials already trained;
         # give their checkpoints lazy placeholders (no-op for fresh runs).
         self.store.seed_from_trials(self.study.trials)
@@ -142,22 +179,10 @@ class SimRun:
         # their id; rejoining workers get a fresh one.
         self.free_ids: list[int] = list(range(cluster.num_workers))
         self.next_worker_id = cluster.num_workers
-        self.worker_of_job: dict[int, int] = {}
         self.busy_time = 0.0
-        # In-flight jobs plus per-dispatch bookkeeping.  ``generation``
-        # counts dispatches of the same job id (a retried job is re-issued
-        # verbatim), so completion/drop/timeout events scheduled for an
-        # attempt that was since killed are recognised as stale and ignored.
-        self.in_flight: dict[int, Job] = {}
-        self.generation: dict[int, int] = {}
-        self.dispatched_at: dict[int, float] = {}
-        self.credited: dict[int, float] = {}
-        # Swap-remove index of live job ids, so churn can pick a uniform
-        # random victim in O(1); the victim draw stays a single
-        # ``rng.integers(len)`` call per churn event, so the cluster's
-        # seeded draw sequence is unchanged.
-        self.live_ids: list[int] = []
-        self.live_pos: dict[int, int] = {}
+        #: Running attempts, swap-removed as they end, so churn picks a
+        #: uniform random victim in O(1) with one ``rng.integers(len)`` draw.
+        self.live: list[_Attempt] = []
         self.faults = FaultManager(retry_policy) if retry_policy is not None else None
         self.retry_policy = retry_policy
         # Duck-typed objectives in tests may not subclass Objective.
@@ -207,20 +232,17 @@ class SimRun:
 
     # ------------------------------------------------------------- dispatch
 
-    def launch(self, job: Job, worker: int, attempt: int) -> None:
-        gen = self.generation.get(job.job_id, 0) + 1
-        self.generation[job.job_id] = gen
-        self.in_flight[job.job_id] = job
-        self.live_pos[job.job_id] = len(self.live_ids)
-        self.live_ids.append(job.job_id)
-        self.worker_of_job[job.job_id] = worker
+    def launch(self, job: Job, worker: int, number: int) -> None:
+        """Dispatch ``job`` to ``worker`` as its trial's ``number``-th consecutive try."""
+        self.result.jobs_dispatched += 1
+        live = self.live
+        attempt = _Attempt(job, worker, self.clock, len(live))
+        live.append(attempt)
         self.store.prepare(job)  # snapshot donor state for inheriting jobs
-        credit = self._start(job, gen, worker)
+        credit = attempt.credit = self._start(attempt)
         self.busy_time += credit
-        self.dispatched_at[job.job_id] = self.clock
-        self.credited[job.job_id] = credit
         if self.hub:
-            extra = {"attempt": attempt} if attempt > 1 else {}
+            extra = {"attempt": number} if number > 1 else {}
             self.hub.emit(
                 EventKind.JOB_STARTED,
                 trial_id=job.trial_id,
@@ -234,34 +256,35 @@ class SimRun:
                 **extra,
             )
 
-    def _start(self, job: Job, gen: int, worker: int) -> float:  # noqa: ARG002
-        """Put dispatch ``gen`` of ``job`` on the calendar; returns the busy time credited.
+    def _start(self, attempt: _Attempt) -> float:
+        """Put ``attempt``'s end on the calendar; returns the busy time credited.
 
         The known duration is credited up front, capped at the remaining
-        budget; ``kill``/``finish`` roll back what an attempt did not spend.
+        budget; :meth:`_end` and :meth:`finish` roll back what it did not spend.
         """
         cluster = self.cluster
         store = self.store
+        job = attempt.job
         duration = cluster._duration(store.job_cost(job, self.objective))
         drop_at = cluster._drop_time(duration)
         if drop_at is not None:
-            self._push(self.clock + drop_at, "drop", (job, gen))
+            self._push(self.clock + drop_at, "drop", attempt)
         else:
-            self._push(self.clock + duration, "complete", (job, gen))
+            self._push(self.clock + duration, "complete", attempt)
         if self.retry_policy is not None:
             deadline = self.retry_policy.sim_deadline(
                 self.nominal_cost(job.config, store.start_resource(job), job.resource)
             )
             if deadline is not None:
-                self._push(self.clock + deadline, "timeout", (job, gen))
+                self._push(self.clock + deadline, "timeout", attempt)
         # A job whose result the journal already holds needs no speculative
         # training (the pool would otherwise fork for nothing).
         if self.pool is not None and not self.study.has_cached_loss(job.job_id):
             self.pool.prefetch(job, *store.starting_state(job, self.objective, peek=True))
         return min(duration if drop_at is None else drop_at, max(self.time_limit - self.clock, 0.0))
 
-    def _settle(self, started: float, credit: float) -> float:  # noqa: ARG002
-        """Busy time owed beyond ``credit`` to an attempt ending now: none, it was exact."""
+    def _settle(self, attempt: _Attempt) -> float:  # noqa: ARG002
+        """Busy time owed beyond its credit to ``attempt`` ending now: none, it was exact."""
         return 0.0
 
     def _release(self, worker: int) -> None:
@@ -289,16 +312,13 @@ class SimRun:
         study = self.study
         cap = self.fill_cap
         budget = len(free_ids) if cap is None else min(cap, len(free_ids))
-        result = self.result
         faults = self.faults
         obs = self.obs
-        dispatched_before = result.jobs_dispatched
+        dispatched_before = self.result.jobs_dispatched
         while free_ids and self.pending_retries and budget > 0:
-            job, attempt = self.pending_retries.popleft()
-            worker = heapq.heappop(free_ids)
+            job, number = self.pending_retries.popleft()
             budget -= 1
-            result.jobs_dispatched += 1
-            self.launch(job, worker, attempt)
+            self.launch(job, heapq.heappop(free_ids), number)
         starved = False
         while free_ids and budget > 0:
             if study.is_done():
@@ -307,16 +327,14 @@ class SimRun:
             if job is None:
                 starved = True
                 break
-            attempt = 1 if faults is None else faults.attempt_number(job)
-            worker = heapq.heappop(free_ids)
+            number = 1 if faults is None else faults.attempt_number(job)
             budget -= 1
-            result.jobs_dispatched += 1
-            self.launch(job, worker, attempt)
+            self.launch(job, heapq.heappop(free_ids), number)
         if starved and self.hub and free_ids:
             self.hub.emit(EventKind.WORKER_IDLE, free_workers=len(free_ids))
         capped = budget == 0 and bool(free_ids)
         if obs is not None:
-            dispatched = result.jobs_dispatched - dispatched_before
+            dispatched = self.result.jobs_dispatched - dispatched_before
             if dispatched:
                 obs.dispatches.inc(dispatched)
                 self.last_dispatch_tick = self.tick_box[0]
@@ -326,25 +344,33 @@ class SimRun:
 
     # ------------------------------------------------------------ teardown
 
-    def kill(self, job: Job) -> tuple[int | None, float, float]:
-        """Tear down an in-flight dispatch killed before finishing.
+    def _worked(self, attempt: _Attempt, until: float) -> float:
+        """Busy time ``attempt`` spent by ``until``: never more than finishing would."""
+        started = attempt.started
+        return min(max(until - started, 0.0), attempt.credit + self._settle(attempt))
 
-        Returns ``(worker, lost, correction)``: the worker id that held
-        the job, the busy time the attempt really consumed, and the
-        non-positive adjustment undoing the credit granted at dispatch
-        (killed jobs used to stay credited for their full duration,
-        inflating utilisation).
+    def _end(self, attempt: _Attempt, until: float = math.inf) -> float:
+        """Retire ``attempt``, which worked until ``until`` (its end, by default).
+
+        Returns the busy time it really spent.  That minus its dispatch
+        credit is the correction settling the credit: negative for a kill,
+        the whole duration for a wall-clock attempt, zero otherwise.
         """
-        self.in_flight.pop(job.job_id, None)
-        self._live_discard(job.job_id)
-        worker = self.worker_of_job.pop(job.job_id, None)
-        started = self.dispatched_at.pop(job.job_id, self.clock)
-        credit = self.credited.pop(job.job_id, 0.0)
-        lost = min(max(self.clock - started, 0.0), credit + self._settle(started, credit))
-        correction = lost - credit
-        self.busy_time += correction
-        self._discard(job)
-        return worker, lost, correction
+        live = self.live
+        last = live.pop()
+        if last is not attempt:
+            live[attempt.index] = last
+            last.index = attempt.index
+        attempt.index = -1
+        worked = self._worked(attempt, until)
+        self.busy_time += worked - attempt.credit
+        return worked
+
+    def kill(self, attempt: _Attempt, reason: str) -> None:
+        """Tear down a running attempt killed now, and route its failure."""
+        lost = self._end(attempt, self.clock)
+        self._discard(attempt.job)
+        self.handle_failure(attempt, reason, lost)
 
     def _discard(self, job: Job) -> None:
         """``job``'s dispatch will never complete: drop its snapshot and prefetch."""
@@ -352,53 +378,149 @@ class SimRun:
         if self.pool is not None:
             self.pool.discard(job)
 
-    def _live_discard(self, job_id: int) -> None:
-        pos = self.live_pos.pop(job_id, None)
-        if pos is None:
-            return
-        last = self.live_ids.pop()
-        if last != job_id:
-            self.live_ids[pos] = last
-            self.live_pos[last] = pos
-
     def handle_failure(
-        self,
-        job: Job,
-        worker: int | None,
-        *,
-        reason: str,
-        lost: float,
-        correction: float = 0.0,
-        error: str | None = None,
+        self, attempt: _Attempt, reason: str, lost: float, error: str | None = None
     ) -> None:
-        """Route one failed attempt; a granted retry becomes a queued event."""
-        extra = {"busy_correction": correction} if correction else {}
-        decision = route_failure(
-            self.study,
-            self.result,
-            self.hub,
-            self.faults,
-            self.retry_probes,
-            job,
-            worker,
-            reason=reason,
-            lost=lost,
-            time=self.clock,
-            error=error,
-            **extra,
+        """Route one ended attempt that failed after working ``lost``.
+
+        Without a fault manager the job is forfeited to the study.  With
+        one, the manager decides: a retry re-dispatches the same job after
+        its backoff, as a queued ``retry`` event; an abandon quarantines the
+        trial.
+        """
+        job = attempt.job
+        study = self.study
+        result = self.result
+        hub = self.hub
+        time = self.clock
+        result.failures.append((time, job.trial_id))
+        result.time_lost_to_failures += lost
+        payload: dict = {"reason": reason}
+        if self.faults is None:
+            decision = None
+            action = "forfeited"
+            study.on_job_failed(job)
+        else:
+            decision = self.faults.record_failure(job, reason=reason)
+            action = "retried" if decision.retry else "abandoned"
+            payload.update(attempt=decision.failures, lost=lost)
+        if error is not None:
+            payload["error"] = error
+        result.failure_log.append(
+            FailureRecord(
+                time=time,
+                trial_id=job.trial_id,
+                job_id=job.job_id,
+                reason=reason,
+                action=action,
+                attempt=payload.get("attempt", 1),
+                error=error,
+                lost=lost,
+            )
         )
-        if decision is not None and decision.retry:
-            self._push(self.clock + decision.delay, "retry", (job, decision.failures + 1))
+        if hub:
+            correction = lost - attempt.credit
+            if correction:
+                payload["busy_correction"] = correction
+            hub.emit(
+                EventKind.JOB_TIMEOUT if reason == "timeout" else EventKind.JOB_FAILED,
+                trial_id=job.trial_id,
+                job_id=job.job_id,
+                worker_id=attempt.worker,
+                rung=job.rung,
+                bracket=job.bracket,
+                **payload,
+            )
+        if decision is None:
+            return
+        if decision.retry:
+            result.jobs_retried += 1
+            if self.retry_probes is not None:
+                self.retry_probes.retries.inc()
+            study.on_job_requeued(job)
+            if hub:
+                hub.emit(
+                    EventKind.JOB_RETRIED,
+                    trial_id=job.trial_id,
+                    job_id=job.job_id,
+                    rung=job.rung,
+                    bracket=job.bracket,
+                    attempt=decision.failures + 1,
+                    delay=decision.delay,
+                    retry_at=time + decision.delay,
+                )
+            self._push(time + decision.delay, "retry", (job, decision.failures + 1))
+        else:
+            result.trials_abandoned += 1
+            study.on_trial_abandoned(job)
+            if hub:
+                hub.emit(
+                    EventKind.TRIAL_ABANDONED,
+                    trial_id=job.trial_id,
+                    job_id=job.job_id,
+                    rung=job.rung,
+                    bracket=job.bracket,
+                    failures=decision.failures,
+                    reason=reason,
+                )
+
+    def _complete(self, attempt: _Attempt) -> None:
+        """``attempt`` trained to its end: tell the study its loss and log it."""
+        job = attempt.job
+        worked = self._end(attempt)
+        heapq.heappush(self.free_ids, attempt.worker)
+        study = self.study
+        loss = study.cached_loss(job)
+        if loss is not None:
+            # Replay: the journal's next record is this job's tell — reuse
+            # the loss, skip training, keep the checkpoint/restore
+            # bookkeeping identical.
+            self.store.replay_job(job)
+        else:
+            trained = None if self.pool is None else partial(self.pool.take, job)
+            try:
+                loss = self.store.run_job(job, self.objective, trained)
+            except Exception as exc:  # noqa: BLE001 — training crashed
+                self._discard(job)
+                self.handle_failure(attempt, "exception", worked, repr(exc))
+                return
+        if self.faults is not None:
+            self.faults.record_success(job)
+        # The study journals the tell before the scheduler sees it
+        # (write-ahead); the backend keeps its own timestamped log.
+        time = self.clock
+        result = self.result
+        study.tell(job, loss, time=time)
+        result.measurements.append(
+            Measurement(trial_id=job.trial_id, resource=job.resource, loss=loss, time=time)
+        )
+        snapshot = self.bracket_snapshot
+        result.bracket_snapshots.append(None if snapshot is None else snapshot())
+        if self.done_resource is not None and job.resource >= self.done_resource:
+            result.completions.append((time, job.trial_id))
+        if self.hub:
+            correction = worked - attempt.credit
+            self.hub.emit(
+                EventKind.REPORT,
+                trial_id=job.trial_id,
+                job_id=job.job_id,
+                worker_id=attempt.worker,
+                rung=job.rung,
+                bracket=job.bracket,
+                loss=loss,
+                resource=job.resource,
+                **({"busy_correction": correction} if correction else {}),
+            )
 
     # -------------------------------------------------------------- events
 
     def dispatch(self, event) -> bool:
         """Process one delivered event; returns whether a fill is wanted.
 
-        The branch structure mirrors the historical inline loop exactly:
-        churn/rejoin/retry events re-fill and return; job events route to
-        completion or failure handling, then check the stop conditions
-        (measurement cap, first completion) *before* re-filling.
+        Churn/rejoin/retry events re-fill and return.  Job events — whose
+        attempt the driver's head check guarantees is still running — end
+        in a completion or a failure, then the stop conditions (measurement
+        cap, first completion) are checked *before* re-filling.
         """
         self.clock = event.time
         hub = self.hub
@@ -409,18 +531,15 @@ class SimRun:
         kind = event.kind
         cluster = self.cluster
         if kind == "churn":
-            if self.in_flight:
-                # Kill a random busy worker: its job fails.  O(1) pick from
-                # the swap-remove index — no per-event list copy.
-                victim_id = self.live_ids[cluster.rng.integers(len(self.live_ids))]
-                victim = self.in_flight[victim_id]
-                worker, lost, correction = self.kill(victim)  # id retires with the worker
-                self.handle_failure(
-                    victim, worker, reason="churn", lost=lost, correction=correction
-                )
-            elif self.free_ids:
-                heapq.heappop(self.free_ids)  # an idle worker goes away instead
-            self._push(self.clock + max(cluster.churn_downtime, 1e-9), "rejoin", None)
+            live = self.live
+            # With every worker away already, nobody fails and nobody rejoins.
+            if live or self.free_ids:
+                if live:
+                    # Kill a random busy worker: its job fails, its id retires.
+                    self.kill(live[cluster.rng.integers(len(live))], "churn")
+                else:
+                    heapq.heappop(self.free_ids)  # an idle worker goes away instead
+                self._push(self.clock + max(cluster.churn_downtime, 1e-9), "rejoin", None)
             self.schedule_churn()
             return True
         if kind == "rejoin":
@@ -435,71 +554,17 @@ class SimRun:
                 self.pending_retries = deque()
             self.pending_retries.append(event.payload[1])
             return True
-        job, gen = event.payload[1]  # liveness guaranteed by the driver's head check
-        if kind == "timeout":
-            worker, lost, correction = self.kill(job)
-            if worker is not None:
-                self._release(worker)
-            self.handle_failure(
-                job, worker, reason="timeout", lost=lost, correction=correction
-            )
-        else:
-            self.in_flight.pop(job.job_id, None)
-            self._live_discard(job.job_id)
-            worker = self.worker_of_job.pop(job.job_id, None)
-            credit = self.credited.pop(job.job_id, 0.0)
-            correction = self._settle(self.dispatched_at.pop(job.job_id, self.clock), credit)
-            self.busy_time += correction
-            if worker is not None:
-                heapq.heappush(self.free_ids, worker)
-            if kind == "complete":
-                failed = False
-                study = self.study
-                loss = study.cached_loss(job)
-                if loss is not None:
-                    # Replay: the journal's next record is this job's tell —
-                    # reuse the loss, skip training, keep the
-                    # checkpoint/restore bookkeeping identical.
-                    self.store.replay_job(job)
-                else:
-                    pool = self.pool
-                    trained = None if pool is None else partial(pool.take, job)
-                    try:
-                        loss = self.store.run_job(job, self.objective, trained)
-                    except Exception as exc:  # noqa: BLE001 — training crashed
-                        failed = True
-                        self._discard(job)
-                        self.handle_failure(
-                            job, worker, reason="exception", error=repr(exc),
-                            lost=credit + correction, correction=correction,
-                        )
-                if not failed:
-                    if self.faults is not None:
-                        self.faults.record_success(job)
-                    record_report(
-                        self.result,
-                        study,
-                        job,
-                        loss,
-                        self.clock,
-                        self.done_resource,
-                        self.bracket_snapshot,
-                    )
-                    if hub:
-                        hub.emit(
-                            EventKind.REPORT,
-                            trial_id=job.trial_id,
-                            job_id=job.job_id,
-                            worker_id=worker,
-                            rung=job.rung,
-                            bracket=job.bracket,
-                            loss=loss,
-                            resource=job.resource,
-                            **({"busy_correction": correction} if correction else {}),
-                        )
-            else:  # drop
-                self._discard(job)
-                self.handle_failure(job, worker, reason="dropped", lost=credit)
+        attempt = event.payload[1]
+        if kind == "complete":
+            self._complete(attempt)
+        elif kind == "timeout":
+            self._release(attempt.worker)
+            self.kill(attempt, "timeout")
+        else:  # drop
+            lost = self._end(attempt)
+            heapq.heappush(self.free_ids, attempt.worker)
+            self._discard(attempt.job)
+            self.handle_failure(attempt, "dropped", lost)
         result = self.result
         if (
             self.max_measurements is not None
@@ -531,14 +596,12 @@ class SimRun:
         result.elapsed = (
             self.time_limit if self.budget_exhausted else min(self.clock, self.time_limit)
         )
-        # Jobs still in flight at the end only worked until the stop clock —
+        # Attempts still running at the end only worked until the stop clock —
         # roll back the optimistically-credited remainder (a no-op when the
         # budget ran out, since credits were already capped at time_limit).
         busy_time = self.busy_time
-        for job_id, started in self.dispatched_at.items():
-            credit = self.credited[job_id]
-            worked = min(max(result.elapsed - started, 0.0), credit + self._settle(started, credit))
-            busy_time += worked - credit
+        for attempt in self.live:
+            busy_time += self._worked(attempt, result.elapsed) - attempt.credit
         horizon = max(result.elapsed, 1e-12)
         result.utilization = min(
             busy_time / (self.cluster.num_workers * horizon), 1.0
@@ -583,7 +646,7 @@ def drive_runs(
     initial fill happens (round-robin, fair-share-capped) before any churn
     is scheduled, exactly as ``try_fill(); schedule_churn()`` did inline.
     After that, the loop peeks the head event, discards it if its run is
-    finished or the dispatch it refers to was since killed (without
+    finished or the attempt it carries has since ended (without
     advancing the clock, so a far-future stale completion neither extends
     any run nor counts as pending work), retires the run if the event is
     past its time budget, and otherwise delivers it.
@@ -624,14 +687,12 @@ def drive_runs(
             if run.done:
                 queue.discard_next()
                 continue
-            if head.kind in _JOB_EVENT_KINDS:
-                job, gen = head.payload[1]
-                if run.generation.get(job.job_id) != gen or job.job_id not in run.in_flight:
-                    # The dispatch this event belonged to was churned or timed
-                    # out: the event is dead.  Discard it without advancing the
-                    # clock.
-                    queue.discard_next()
-                    continue
+            if head.kind in _JOB_EVENT_KINDS and head.payload[1].index < 0:
+                # The attempt this event belonged to was churned or timed
+                # out: the event is dead.  Discard it without advancing the
+                # clock.
+                queue.discard_next()
+                continue
             if wait is not None and wait(head.time):
                 continue
             if head.time > run.time_limit:
@@ -673,7 +734,8 @@ class SimulatedCluster:
         Expected worker-failure events per time unit across the cluster:
         at exponential intervals a worker dies — killing its in-flight job
         (reported to the scheduler as a failure) — and rejoins after
-        ``churn_downtime``.  0 disables churn.
+        ``churn_downtime``; an event finding every worker away is a no-op.
+        0 disables churn.
     churn_downtime:
         How long a churned worker stays away before rejoining.
     seed:

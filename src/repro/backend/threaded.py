@@ -34,26 +34,25 @@ from ..telemetry import TelemetryHub, runtime
 from .checkpoint import CheckpointStore
 from .events import EventQueue
 from .faults import RetryPolicy
-from .simulation import SimRun, SimulatedCluster, drive_runs
+from .simulation import SimRun, SimulatedCluster, _Attempt, drive_runs
 from .trial_runner import BackendResult
 
 __all__ = ["ThreadPoolBackend"]
 
 
-def _train_jobs(
-    worker: int, objective: Objective, inbox: SimpleQueue, outbox: SimpleQueue
-) -> None:
-    """One worker thread: train each ``(job, gen, resume point)`` until ``None``.
+def _train_jobs(objective: Objective, inbox: SimpleQueue, outbox: SimpleQueue) -> None:
+    """One worker thread: train each ``(attempt, resume point)`` until ``None``.
 
-    Posts ``(worker, job, gen, outcome)``: ``(state, loss)`` or what ``train`` raised.
+    Posts ``(attempt, outcome)``: ``(state, loss)`` or what ``train`` raised.
     """
-    for job, gen, point in iter(inbox.get, None):
+    for attempt, point in iter(inbox.get, None):
+        job = attempt.job
         try:
             from_resource, state = CheckpointStore.build_state(point, job, objective)
             outcome = objective.train(state, job.config, from_resource, job.resource)
         except Exception as exc:  # noqa: BLE001 — the master routes the failure
             outcome = exc
-        outbox.put((worker, job, gen, outcome))
+        outbox.put((attempt, outcome))
 
 
 class _WorkerThreads:
@@ -62,8 +61,8 @@ class _WorkerThreads:
     def __init__(self, objective: Objective, num_workers: int, grace: float):
         self.results: SimpleQueue = SimpleQueue()
         self.inboxes = [SimpleQueue() for _ in range(num_workers)]
-        for worker, inbox in enumerate(self.inboxes):
-            args = (worker, objective, inbox, self.results)
+        for inbox in self.inboxes:
+            args = (objective, inbox, self.results)
             threading.Thread(target=_train_jobs, args=args, daemon=True).start()
         self.grace = grace
         #: Workers whose thread has not returned its attempt yet.
@@ -73,20 +72,20 @@ class _WorkerThreads:
         # None unless a runtime registry is installed (repro.telemetry.runtime).
         self.probes = runtime.probes("backend", backend="threads")
 
-    def hand(self, worker: int, job: Job, gen: int, point: Any) -> None:
-        self.training.add(worker)
-        self.inboxes[worker].put((job, gen, point))
+    def hand(self, attempt: _Attempt, point: Any) -> None:
+        self.training.add(attempt.worker)
+        self.inboxes[attempt.worker].put((attempt, point))
         if self.probes is not None:
             self.probes.dispatches.inc()
             self.probes.in_flight.set(float(len(self.training)))
 
-    def get(self, timeout: float) -> tuple[int, Job, int, Any] | None:
+    def get(self, timeout: float) -> tuple[_Attempt, Any] | None:
         """The next attempt a thread returns within ``timeout`` seconds, or ``None``."""
         try:
             item = self.results.get(timeout=timeout)
         except Empty:
             return None
-        self.training.discard(item[0])
+        self.training.discard(item[0].worker)
         if self.probes is not None:
             self.probes.in_flight.set(float(len(self.training)))
         return item
@@ -126,16 +125,16 @@ class _WallClockRun(SimRun):
     def _now(self) -> float:
         return _time.monotonic() - self.origin
 
-    def _start(self, job: Job, gen: int, worker: int) -> float:
+    def _start(self, attempt: _Attempt) -> float:
         # The completion resolves the resume point, as in the simulator.
-        self.pool.hand(worker, job, gen, self.store.resume_point(job, consume=False))
+        self.pool.hand(attempt, self.store.resume_point(attempt.job, consume=False))
         timeout = getattr(self.retry_policy, "timeout", None)
         if timeout is not None:
-            self._push(self.clock + timeout, "timeout", (job, gen))
+            self._push(self.clock + timeout, "timeout", attempt)
         return 0.0  # the duration is known only when the thread returns
 
-    def _settle(self, started: float, credit: float) -> float:
-        return max(self.clock - started, 0.0) - credit
+    def _settle(self, attempt: _Attempt) -> float:
+        return max(self.clock - attempt.started, 0.0) - attempt.credit
 
     def _release(self, worker: int) -> None:
         if worker not in self.pool.training:  # else its thread's return rejoins it
@@ -153,21 +152,21 @@ class _WallClockRun(SimRun):
         pool = self.pool
         if until is None:
             held = pool.training and not self.free_ids  # by killed attempts
-            if not (self.in_flight or held and (self.pending_retries or not self.study.is_done())):
+            if not (self.live or held and (self.pending_retries or not self.study.is_done())):
                 return False
             until = math.inf
         timeout = min(until, self.time_limit) - self._now()
         item = pool.get(timeout) if timeout > 0 else None
         if item is not None:
-            worker, job, gen, outcome = item
+            attempt, outcome = item
             # A wait can end a hair before its timeout, and the event it was
             # waiting for is then delivered early: never stamp behind it.
             now = max(self._now(), self.queue.clock)
-            if self.generation.get(job.job_id) == gen and job.job_id in self.in_flight:
-                pool.returned[job.job_id] = outcome
-                self._push(now, "complete", (job, gen))
-            else:
-                self._push(now, "rejoin", worker)
+            if attempt.index >= 0:
+                pool.returned[attempt.job.job_id] = outcome
+                self._push(now, "complete", attempt)
+            else:  # a deadline ended it already
+                self._push(now, "rejoin", attempt.worker)
             return True
         if until == math.inf:
             limit = math.nextafter(self.time_limit, math.inf)

@@ -1,4 +1,4 @@
-"""Shared backend plumbing: the result record and the report path.
+"""What a backend run returns: the result record and its failure records.
 
 Every backend produces a :class:`BackendResult` — the chronological stream
 of measurements plus bookkeeping the analysis layer needs (completions at
@@ -9,21 +9,12 @@ claims of Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
-from ..core.scheduler import Scheduler
-from ..core.types import Job, Measurement
-from ..study import Study
-from ..telemetry import MetricsReport, TelemetryHub
-from ..telemetry.tracing import Trace, TraceBuilder
+from ..core.types import Measurement
+from ..telemetry import MetricsReport
+from ..telemetry.tracing import Trace
 
-__all__ = [
-    "BackendResult",
-    "FailureRecord",
-    "bracket_counter",
-    "record_report",
-    "wire_telemetry",
-]
+__all__ = ["BackendResult", "FailureRecord"]
 
 
 @dataclass(frozen=True)
@@ -90,66 +81,3 @@ class BackendResult:
         if by_time is None:
             return len(self.completions)
         return sum(1 for t, _ in self.completions if t <= by_time)
-
-
-def wire_telemetry(
-    scheduler: Scheduler | Study, telemetry: TelemetryHub | None, trace: bool
-) -> tuple[Study, Any, TraceBuilder | None]:
-    """The ``(study, hub, tracer)`` a run drives, from ``run()``'s arguments.
-
-    A bare scheduler gets an unjournalled :class:`~repro.study.Study` so
-    backends have exactly one code path; ``trace`` rides a
-    :class:`~repro.telemetry.TraceBuilder` on the hub as a sink (creating a
-    hub if there was none).
-    """
-    study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
-    hub = telemetry if telemetry is not None else study.telemetry
-    tracer = None
-    if trace:
-        tracer = TraceBuilder()
-        if not hub:
-            hub = TelemetryHub()
-        hub.add_sink(tracer)
-    if telemetry is not None or tracer is not None:
-        study.attach_telemetry(hub)
-    return study, hub, tracer
-
-
-def bracket_counter(study: Study) -> Callable[[], int] | None:
-    """Zero-argument reader of the scheduler's ``completed_brackets``, or ``None``.
-
-    Resolved once per run: the counter is a method on ``SynchronousSHA``, a
-    plain attribute on ``Hyperband``, and absent elsewhere.
-    """
-    scheduler = study.scheduler
-    counter = getattr(scheduler, "completed_brackets", None)
-    if counter is None or callable(counter):
-        return counter
-    return lambda: scheduler.completed_brackets
-
-
-def record_report(
-    result: BackendResult,
-    study: Study,
-    job: Job,
-    loss: float,
-    time: float,
-    max_resource: float | None,
-    snapshot: Callable[[], int] | None,
-) -> None:
-    """Tell the study a completed job's loss and log it.
-
-    The study journals the result before the scheduler sees it
-    (write-ahead) and the scheduler records the measurement on the trial
-    itself (see ``Scheduler.note_result``); the backend keeps its own
-    timestamped log.  ``snapshot`` is the run's :func:`bracket_counter`.
-    """
-    study.tell(job, loss, time=time)
-    result.measurements.append(
-        Measurement(trial_id=job.trial_id, resource=job.resource, loss=loss, time=time)
-    )
-    # ``completed_brackets`` resolves to a plain count so the snapshot log
-    # stays scheduler-free (and therefore picklable for the parallel engine).
-    result.bracket_snapshots.append(None if snapshot is None else snapshot())
-    if max_resource is not None and job.resource >= max_resource:
-        result.completions.append((time, job.trial_id))

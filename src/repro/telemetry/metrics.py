@@ -352,6 +352,8 @@ class MetricsCollector:
         self._worker_free_at: dict[int, float] = {}
         self._worker_busy: dict[int, float] = {}
         self._busy_total = 0.0
+        # Attempts started and not ended yet: job id -> (worker, start, credit).
+        self._open: dict[int, tuple[int, float, float]] = {}
         # Cumulative busy time after each credit, as packed columns: one
         # point per job for as long as the collector lives.
         self._busy_times = array("d")
@@ -395,6 +397,8 @@ class MetricsCollector:
             credit = event.data.get("busy_credit")
             if credit is not None:
                 self._credit_busy(worker, float(credit), event.time)
+                if event.job_id is not None:
+                    self._open[event.job_id] = (worker, event.time, float(credit))
 
     def _on_report(self, event: TelemetryEvent) -> None:
         if event.trial_id is not None:
@@ -408,10 +412,19 @@ class MetricsCollector:
                 self._rung_series.append((event.time, event.rung, occupancy))
         self._on_job_end(event)
 
-    def _on_job_end(self, event: TelemetryEvent) -> None:
+    def _on_failure(self, event: TelemetryEvent) -> None:
         lost = event.data.get("lost")
+        opened = self._open.get(event.job_id)
+        if lost is None and opened is not None:
+            # Only a retry policy puts ``lost`` on the event; the attempt
+            # lost its dispatch credit as settled by its correction.
+            lost = opened[2] + float(event.data.get("busy_correction", 0.0))
         if lost is not None:
             self.registry.counter("time_lost_to_failures").inc(max(float(lost), 0.0))
+        self._on_job_end(event)
+
+    def _on_job_end(self, event: TelemetryEvent) -> None:
+        self._open.pop(event.job_id, None)
         worker = event.worker_id
         if worker is None:
             return
@@ -453,8 +466,8 @@ class MetricsCollector:
     _HANDLERS = {
         EventKind.JOB_STARTED: _on_job_started,
         EventKind.REPORT: _on_report,
-        EventKind.JOB_FAILED: _on_job_end,
-        EventKind.JOB_TIMEOUT: _on_job_end,
+        EventKind.JOB_FAILED: _on_failure,
+        EventKind.JOB_TIMEOUT: _on_failure,
         EventKind.PROMOTION: _on_promotion,
         EventKind.TRIAL_STARTED: _on_trial_started,
     }
@@ -468,9 +481,18 @@ class MetricsCollector:
     # ------------------------------------------------------------- results
 
     def finalize(self, *, elapsed: float, num_workers: int) -> None:
-        """Record run extent so utilisation fractions are well-defined."""
+        """Record run extent so utilisation fractions are well-defined.
+
+        An attempt still running when the run stopped worked until then,
+        which settles its dispatch credit the way ``SimRun.finish`` does.
+        """
         self._elapsed = elapsed
         self._num_workers = num_workers
+        for worker, started, credit in self._open.values():
+            correction = max(elapsed - started, 0.0) - credit
+            if correction:
+                self._credit_busy(worker, correction, elapsed)
+        self._open.clear()
 
     def rung_occupancy(self) -> dict[int, int]:
         return {rung: len(members) for rung, members in sorted(self._rung_members.items())}

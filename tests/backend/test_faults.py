@@ -12,14 +12,11 @@ from repro.backend.faults import (
     FaultManager,
     InjectedFailure,
     RetryPolicy,
-    route_failure,
 )
-from repro.backend.trial_runner import BackendResult
+from repro.backend.simulation import SimulatedCluster
 from repro.core import RandomSearch
 from repro.core.types import Job
 from repro.experiments.toys import toy_objective, toy_space
-from repro.study import Study
-from repro.telemetry import NULL_HUB
 
 
 def job_for(trial_id: int, job_id: int | None = None) -> Job:
@@ -92,16 +89,21 @@ class TestFaultManager:
         assert manager.record_failure(job_for(7, job_id=101), reason="dropped").action == "abandon"
 
     def test_time_lost_accumulates(self):
-        # The manager only decides; the time lost is kept on BackendResult.
-        manager = FaultManager(RetryPolicy())
-        study = Study(RandomSearch(toy_space(), np.random.default_rng(0), max_resource=9.0))
-        result = BackendResult()
-        for trial_id, reason, lost in ((0, "dropped", 3.0), (1, "churn", 4.5)):
-            route_failure(
-                study, result, NULL_HUB, manager, None, job_for(trial_id), 0,
-                reason=reason, lost=lost, time=1.0,
-            )
-        assert result.time_lost_to_failures == pytest.approx(7.5)
+        # The manager only decides; the time lost is kept on BackendResult,
+        # summed over every failed attempt whatever its reason.
+        result = SimulatedCluster(
+            2, drop_probability=0.05, churn_rate=0.05, churn_downtime=1.0, seed=0
+        ).run(
+            RandomSearch(toy_space(), np.random.default_rng(0), max_resource=9.0),
+            toy_objective(),
+            time_limit=200.0,
+            retry_policy=RetryPolicy(),
+        )
+        assert {record.reason for record in result.failure_log} == {"dropped", "churn"}
+        assert all(record.lost > 0 for record in result.failure_log)
+        assert result.time_lost_to_failures == pytest.approx(
+            sum(record.lost for record in result.failure_log)
+        )
 
     def test_attempt_number(self):
         manager = FaultManager(RetryPolicy(max_attempts=5))

@@ -1,10 +1,13 @@
-"""Unit tests for the shared backend plumbing (BackendResult, record_report)."""
+"""Unit tests for the backend result record and the report path a run takes."""
 
 from __future__ import annotations
 
+import numpy as np
 
-from repro.backend.trial_runner import BackendResult, bracket_counter, record_report
+from repro.backend import SimulatedCluster
+from repro.backend.trial_runner import BackendResult
 from repro.core import Hyperband, RandomSearch, SynchronousSHA
+from repro.experiments.toys import toy_objective
 from repro.study import Study, read_journal
 
 
@@ -23,58 +26,60 @@ class TestBackendResult:
 
 
 class TestRecordReport:
+    """A completion tells the study, logs the measurement and maybe a completion."""
+
+    @staticmethod
+    def run(scheduler, *, max_resource=None, measurements=1):
+        return SimulatedCluster(1, seed=0).run(
+            scheduler,
+            toy_objective(max_resource=9.0),
+            time_limit=1e6,
+            max_resource=max_resource,
+            max_measurements=measurements,
+        )
+
     def test_routes_to_scheduler_and_logs(self, one_d_space, rng):
         study = Study(RandomSearch(one_d_space, rng, max_resource=9.0))
-        job = study.ask()
-        result = BackendResult()
-        record_report(result, study, job, loss=0.4, time=7.0, max_resource=9.0, snapshot=None)
+        result = self.run(study)
         assert len(result.measurements) == 1
         m = result.measurements[0]
-        assert (m.trial_id, m.resource, m.loss, m.time) == (job.trial_id, 9.0, 0.4, 7.0)
-        assert result.completions == [(7.0, job.trial_id)]
+        assert (m.resource, m.time) == (9.0, result.elapsed)
+        assert result.completions == [(m.time, m.trial_id)]
         # The scheduler recorded its own copy on the trial.
-        assert study.trials[job.trial_id].last_loss == 0.4
+        assert study.trials[m.trial_id].last_loss == m.loss
 
     def test_result_is_journalled_with_its_time(self, one_d_space, rng, tmp_path):
         path = tmp_path / "run.journal.jsonl"
         study = Study(RandomSearch(one_d_space, rng, max_resource=9.0), journal=path)
-        job = study.ask()
-        record_report(
-            BackendResult(), study, job, loss=0.4, time=7.0, max_resource=9.0, snapshot=None
-        )
-        study.finalize()
-        tell = read_journal(path)[0][-1]
-        assert (tell["kind"], tell["job_id"], tell["loss"], tell["time"]) == (
-            "tell", job.job_id, 0.4, 7.0
-        )
+        m = self.run(study).measurements[0]
+        ask, tell = read_journal(path)[0][-2:]
+        assert (tell["kind"], tell["loss"], tell["time"]) == ("tell", m.loss, m.time)
+        assert (tell["job_id"], tell["trial_id"]) == (ask["job_id"], m.trial_id)
 
     def test_partial_resource_not_a_completion(self, one_d_space, rng):
-        study = Study(RandomSearch(one_d_space, rng, max_resource=9.0))
-        job = study.ask()
-        result = BackendResult()
-        record_report(result, study, job, loss=0.4, time=7.0, max_resource=20.0, snapshot=None)
+        result = self.run(RandomSearch(one_d_space, rng, max_resource=9.0), max_resource=20.0)
+        assert len(result.measurements) == 1
         assert result.completions == []
 
     def test_bracket_snapshots_parallel_to_measurements(self, one_d_space, rng):
-        study = Study(RandomSearch(one_d_space, rng, max_resource=9.0))
-        snapshot = bracket_counter(study)
-        assert snapshot is None  # no bracket notion
-        result = BackendResult()
-        for _ in range(3):
-            job = study.ask()
-            record_report(
-                result, study, job, loss=0.5, time=1.0, max_resource=None, snapshot=snapshot
-            )
+        # RandomSearch has no bracket notion: every snapshot is None.
+        result = self.run(RandomSearch(one_d_space, rng, max_resource=9.0), measurements=3)
         assert len(result.bracket_snapshots) == len(result.measurements) == 3
         assert result.bracket_snapshots == [None, None, None]
 
     def test_bracket_counter_reads_method_and_attribute(self, one_d_space, rng):
         # ``completed_brackets`` is a method on SynchronousSHA and a plain,
-        # mutated attribute on Hyperband; both resolve to a live reader.
+        # mutated attribute on Hyperband; both are read live at each report.
         sha = SynchronousSHA(one_d_space, rng, n=9, min_resource=1.0, max_resource=9.0, eta=3)
-        assert bracket_counter(Study(sha))() == 0
-        hyperband = Hyperband(one_d_space, rng, min_resource=1.0, max_resource=9.0, eta=3)
-        reader = bracket_counter(Study(hyperband))
-        assert reader() == 0
-        hyperband.completed_brackets = 2
-        assert reader() == 2
+        hyperband = Hyperband(
+            one_d_space, np.random.default_rng(1), min_resource=1.0, max_resource=9.0, eta=3,
+            max_loops=1,
+        )
+        for scheduler, final in ((sha, sha.completed_brackets), (hyperband, None)):
+            result = self.run(scheduler, measurements=None)
+            snapshots = result.bracket_snapshots
+            assert len(snapshots) == len(result.measurements)
+            assert snapshots[0] == 0
+            assert snapshots == sorted(snapshots)
+            last = final() if final is not None else hyperband.completed_brackets
+            assert snapshots[-1] == last >= 1
