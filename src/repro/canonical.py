@@ -1,132 +1,42 @@
-"""Canonical compact JSON encoding, hand-rolled for the hot write paths.
+"""Canonical compact JSON encoding for the journal and telemetry write paths.
 
 Both persistence surfaces of this repo — study journals
 (:mod:`repro.study.journal`) and telemetry JSONL sinks
 (:mod:`repro.telemetry.sinks`) — pin their bytes to
-``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` with numpy
-scalars unwrapped.  That canonical form is load-bearing: journals are
-byte-compared across resume/replay, telemetry streams across seeded runs.
-It is also hot: one journal line per ask/tell and one sink line per
-telemetry event, tens of thousands of times per simulated run.
+``json.dumps(obj, sort_keys=True, separators=(",", ":"), default=unwrap)``.
+That canonical form is load-bearing: journals are byte-compared across
+resume/replay, telemetry streams across seeded runs.  It is also hot: one
+journal line per ask/tell and one sink line per telemetry event.
 
-:func:`encode_canonical` produces those exact bytes without the generic
-``json.dumps`` machinery (sort_keys comparator, default-hook dispatch,
-separator handling) for the overwhelmingly common shape — nested dicts with
-string keys, lists, and plain Python scalars.  Anything else (numpy
-scalars, exotic keys, custom objects) falls back to ``json.dumps`` with the
-same options, so the output is byte-identical by construction either way;
-``tests/telemetry/test_canonical.py`` fuzzes that equivalence and pins the
-two-build byte-identity of a real telemetry stream.
-
-The same fast-path idea (exact ``type`` checks, ``repr`` for numbers,
-json's own C string escaper) already proved out in
-``repro.objectives.base._encode_plain``; this module is the compact-
-separator sibling, kept dependency-free so both ``study`` and ``telemetry``
-can import it without cycles.
+:func:`encode_canonical` is the ``encode`` of one ``json.JSONEncoder``
+with exactly those options, built once at import instead of on every
+``json.dumps`` call; json's C encoder does the work.  The module is
+dependency-free so both ``study`` and ``telemetry`` can import it without
+cycles.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 __all__ = ["encode_canonical"]
 
-_INF = float("inf")
-_NINF = float("-inf")
 
+def unwrap(value: Any) -> Any:
+    """JSON stand-in for a value json cannot encode.
 
-def _json_default(value: Any) -> Any:
-    """Serialise numpy scalars (and other ``.item()`` carriers) in the fallback."""
+    ``.item()`` carriers (numpy scalars) become their Python value, and
+    anything else its ``str``.
+    """
     item = getattr(value, "item", None)
     if callable(item):
         return item()
     return str(value)
 
 
-def _write(value: Any, parts: list[str]) -> bool:
-    """Append ``value``'s canonical encoding to ``parts``; False → needs json.
-
-    Exact ``type`` checks (never ``isinstance``) keep numpy scalars — which
-    subclass Python numerics but must encode via ``.item()`` — and bool-vs-
-    int straight: ``type(True) is int`` is False, so each branch matches
-    exactly one built-in.  ``repr`` of a plain float/int is exactly what the
-    C encoder emits (shortest-repr doubles, decimal ints), and the
-    non-finite floats get json's ``NaN``/``Infinity`` literals — journals
-    rely on NaN losses round-tripping.  On a False return the caller
-    discards ``parts``; partial output is never observable.
-    """
-    tv = type(value)
-    if tv is str:
-        parts.append(_escape(value))
-        return True
-    if tv is float:
-        if value != value:
-            parts.append("NaN")
-        elif value == _INF:
-            parts.append("Infinity")
-        elif value == _NINF:
-            parts.append("-Infinity")
-        else:
-            parts.append(repr(value))
-        return True
-    if tv is int:
-        parts.append(repr(value))
-        return True
-    if tv is bool:
-        parts.append("true" if value else "false")
-        return True
-    if value is None:
-        parts.append("null")
-        return True
-    if tv is dict:
-        if not value:
-            parts.append("{}")
-            return True
-        try:
-            keys = sorted(value)
-        except TypeError:
-            return False  # mixed-type keys: let json.dumps raise its own error
-        parts.append("{")
-        sep = ""
-        for key in keys:
-            if type(key) is not str:
-                return False  # json stringifies int/float keys; rare, slow path
-            parts.append(sep)
-            sep = ","
-            parts.append(_escape(key))
-            parts.append(":")
-            if not _write(value[key], parts):
-                return False
-        parts.append("}")
-        return True
-    if tv is list or tv is tuple:
-        if not value:
-            parts.append("[]")
-            return True
-        parts.append("[")
-        sep = ""
-        for item in value:
-            parts.append(sep)
-            sep = ","
-            if not _write(item, parts):
-                return False
-        parts.append("]")
-        return True
-    return False
-
-
-def encode_canonical(obj: Any) -> str:
-    """Canonical compact encoding of ``obj``.
-
-    Byte-identical to
-    ``json.dumps(obj, sort_keys=True, separators=(",", ":"), default=unwrap)``
-    where ``unwrap`` maps ``.item()`` carriers (numpy scalars) through their
-    Python value and anything else through ``str`` — the encoding both the
-    journal and the JSONL telemetry sink have always pinned.
-    """
-    parts: list[str] = []
-    if _write(obj, parts):
-        return "".join(parts)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
+#: ``encode_canonical(obj)`` is byte-identical to ``json.dumps(obj,
+#: sort_keys=True, separators=(",", ":"), default=unwrap)``.
+encode_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=unwrap
+).encode

@@ -7,9 +7,9 @@ reconstruct boils down to three primitives:
   full state as a JSON-able dict of (big) integers; restoring it resumes the
   exact draw sequence.
 * **trial state** — configs are canonicalised through the same
-  :func:`~repro.objectives.base.config_payload` codec the objectives use to
-  seed noise, so a config that round-trips through JSON hashes (and therefore
-  trains) identically.
+  :func:`~repro.objectives.base.config_payload` encoder the objectives use
+  to seed noise, so a config that round-trips through JSON hashes (and
+  therefore trains) identically.
 * **id cursors** — :class:`~repro.core.types.IdAllocator` is a plain integer.
 
 These helpers are deliberately dependency-free: they produce plain dicts of

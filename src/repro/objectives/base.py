@@ -25,27 +25,27 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
-from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
+from ..canonical import unwrap
 from ..searchspace import Config, SearchSpace
 
 __all__ = ["Objective", "config_payload", "config_seed"]
+
+_encode_config = json.JSONEncoder(sort_keys=True, default=unwrap).encode
 
 
 def config_payload(config: Config) -> bytes:
     """The canonical JSON encoding of a configuration.
 
-    Callers that derive several seeds from the same configuration (e.g. a
-    profile seed and a noise seed) encode once and pass the payload to
-    :func:`config_seed` — the JSON canonicalisation dominates the hashing.
+    ``json.dumps(config, sort_keys=True, default=unwrap)`` with json's
+    default separators, from one encoder built at import; numpy scalars
+    encode as their Python values, as in the journal.  Callers that derive
+    several seeds from the same configuration (e.g. a profile seed and a
+    noise seed) encode once and pass the payload to :func:`config_seed` —
+    the JSON canonicalisation dominates the hashing.
     """
-    payload = _encode_plain(config)
-    if payload is None:
-        payload = json.dumps(
-            {k: _canonical(v) for k, v in config.items()}, sort_keys=True
-        ).encode()
-    return payload
+    return _encode_config(config).encode()
 
 
 def config_seed(config: Config, salt: int = 0, *, payload: bytes | None = None) -> int:
@@ -61,54 +61,6 @@ def config_seed(config: Config, salt: int = 0, *, payload: bytes | None = None) 
         payload = config_payload(config)
     digest = hashlib.blake2b(payload, digest_size=8, salt=salt.to_bytes(8, "little"))
     return int.from_bytes(digest.digest(), "little")
-
-
-_INF = float("inf")
-_NINF = float("-inf")
-
-
-def _encode_plain(config: Config) -> bytes | None:
-    """Canonical encoding fast path, or ``None`` if any value needs json.
-
-    Byte-identical to ``json.dumps(config, sort_keys=True).encode()`` for
-    dicts of plain Python scalars: ``repr`` of a float/int is exactly what
-    the C encoder emits (shortest-repr doubles, decimal ints), the default
-    separators are ``", "`` / ``": "``, and string escaping reuses json's
-    own C ``encode_basestring_ascii``.  Exact ``type`` checks (never
-    ``isinstance``) route numpy scalars — which subclass Python numerics but
-    encode via ``.item()`` — to the slow path, as well as non-finite floats
-    (json spells those ``Infinity``/``NaN``).  This is the hot path: one
-    fresh config per sampled trial, encoded for journal records and
-    surrogate seeds, and ``json.dumps`` overhead dominated the simulated
-    benchmarks' profile.
-    """
-    parts = []
-    for k in sorted(config):
-        v = config[k]
-        tv = type(v)
-        if tv is float:
-            if v != v or v == _INF or v == _NINF:
-                return None
-            s = repr(v)
-        elif tv is int:
-            s = repr(v)
-        elif tv is str:
-            s = _escape(v)
-        elif tv is bool:
-            s = "true" if v else "false"
-        elif v is None:
-            s = "null"
-        else:
-            return None
-        parts.append(_escape(k) + ": " + s)
-    return ("{" + ", ".join(parts) + "}").encode()
-
-
-def _canonical(value: Any) -> Any:
-    """Normalise numpy scalars so json encoding is stable."""
-    if hasattr(value, "item"):
-        return value.item()
-    return value
 
 
 class Objective(ABC):

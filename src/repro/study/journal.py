@@ -57,9 +57,9 @@ def encode_record(record: dict[str, Any]) -> str:
     The canonical form is what makes journals byte-comparable: a seeded run
     and its resumed twin must produce identical bytes, and replay
     verification compares records by their encodings (which also makes NaN
-    losses compare equal — json round-trips them as literals).  Encoding
-    goes through the hand-rolled fast path in :mod:`repro.canonical`, which
-    is byte-identical to the historical ``json.dumps`` call.
+    losses compare equal — json round-trips them as literals).  The bytes
+    are :func:`repro.canonical.encode_canonical`'s: the historical
+    ``json.dumps`` call, from one encoder built at import.
     """
     return encode_canonical(record)
 

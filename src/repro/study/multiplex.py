@@ -3,12 +3,12 @@
 The paper's system is a *service*: many users' tuning workloads share one
 deployment, and per-study overhead is what caps how many studies a single
 process can host.  PR 7/8 built the per-study substrate (journal-backed
-ask/tell :class:`~repro.study.Study`, the calendar-queue
+ask/tell :class:`~repro.study.Study`, the
 :class:`~repro.backend.events.EventQueue`); the multiplexer amortises the
 remaining O(studies) costs across one shared loop:
 
 * **one simulated clock** — every study's events land on one shared
-  calendar queue, tagged with their owning run, and a single event loop
+  event queue, tagged with their owning run, and a single event loop
   (:func:`repro.backend.simulation.drive_runs`) delivers them in global
   time order;
 * **cross-study dispatch** — free worker capacity is filled by

@@ -1,7 +1,7 @@
 """Runtime probe layer: observe the service internals, not just the search.
 
 The telemetry package (PR 1) watches the *scheduling domain* — trials,
-rungs, promotions.  Everything underneath it — the calendar-queue
+rungs, promotions.  Everything underneath it — the
 :class:`~repro.backend.events.EventQueue`, the WAL group commit in
 :class:`~repro.study.journal.JournalWriter`, the
 :class:`~repro.study.multiplex.StudyMultiplexer` fair-share dispatcher,
@@ -135,11 +135,9 @@ _RETRY_ROW = (
 CATALOGUE: dict[str, tuple[tuple[str, str, str, str, bool], ...]] = {
     "queue": (
         ("pushes", "counter", "event_queue_pushes_total",
-         "Events pushed onto the calendar queue.", False),
+         "Events pushed onto the event queue.", False),
         ("pops", "counter", "event_queue_pops_total",
-         "Events popped off the calendar queue.", False),
-        ("resizes", "counter", "event_queue_resizes_total",
-         "Bucket-ring rebuilds (adaptive width resizes).", False),
+         "Events popped off the event queue.", False),
     ),
     "journal": (
         ("bytes", "counter", "journal_bytes_total",
@@ -252,19 +250,15 @@ def _publish(
 
 
 def collect_queue(registry: MetricsRegistry, queue: Any) -> None:
-    """Occupancy of a calendar ``EventQueue``: events held, ring size, bucket width.
+    """Occupancy of an ``EventQueue``: the events it holds.
 
     Computed at scrape time, so ``push``/``pop`` pay only a counter
-    increment.  With several live queues the gauges reflect the most
+    increment.  With several live queues the gauge reflects the most
     recently constructed one (the multiplexer has exactly one shared queue,
     which is the case that matters).
     """
     _publish(registry, "event_queue_depth",
-             "Events currently held by the calendar queue.", len(queue))
-    _publish(registry, "event_queue_buckets",
-             "Occupied buckets in the calendar ring.", len(queue._buckets))
-    _publish(registry, "event_queue_bucket_width",
-             "Current adaptive bucket width (sim time units).", queue._width)
+             "Events currently held by the event queue.", len(queue))
 
 
 def collect_mux(registry: MetricsRegistry, mux: Any) -> None:

@@ -60,8 +60,8 @@ class JSONLSink:
     fields omitted, wall-clock excluded unless asked for — so a seeded
     simulation run exports a **byte-identical** file every time.  That is
     the property regression tests and offline diffing lean on.  Encoding
-    goes through the hand-rolled fast path in :mod:`repro.canonical`
-    (byte-identical to the historical ``json.dumps`` call, pinned by
+    is :func:`repro.canonical.encode_canonical` (the historical
+    ``json.dumps`` call from one prebuilt encoder, pinned by
     ``tests/telemetry/test_canonical.py``) — one line per event makes this
     the hottest serialisation site when a sink is attached.
     """

@@ -8,6 +8,7 @@ keep making progress without crashing or deadlocking.
 from __future__ import annotations
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -121,3 +122,28 @@ def test_sha_rung_closes_after_partial_drops():
     cluster = SimulatedCluster(4, seed=13, drop_probability=0.05)
     cluster.run(sha, objective, time_limit=1e6)
     assert sha.is_done()
+
+
+def test_nan_cost_raises_instead_of_hanging():
+    """A NaN duration cannot be scheduled: the run fails fast.
+
+    Unchecked, the NaN completion time never sorts as due and the run
+    spins, allocating without bound; the alarm turns such a hang into a
+    failure.
+    """
+
+    def hang(signum, frame):
+        raise TimeoutError("SimulatedCluster.run hung on a NaN cost")
+
+    objective = toy_objective(max_resource=R)
+    objective.cost = lambda config, from_resource, to_resource: float("nan")
+    scheduler = ASHA(objective.space, np.random.default_rng(0), min_resource=1.0,
+                     max_resource=R, eta=4)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(ValueError, match="cannot schedule event at nan"):
+            SimulatedCluster(4, seed=0).run(scheduler, objective, time_limit=40 * R)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

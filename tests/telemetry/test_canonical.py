@@ -1,17 +1,16 @@
-"""The hand-rolled canonical encoder is byte-identical to json.dumps.
+"""The canonical encoder is byte-identical to json.dumps.
 
-`repro.canonical.encode_canonical` replaces ``json.dumps(obj,
+`repro.canonical.encode_canonical` stands in for ``json.dumps(obj,
 sort_keys=True, separators=(",", ":"), default=unwrap)`` on the two hot
-write paths (journal records, JSONL telemetry events).  These tests pin the
-equivalence three ways: a hypothesis fuzz over nested JSON-ish values, the
-exotic edge cases the fast path must route to the fallback, and a two-build
-test exporting a real simulated run's telemetry stream through both
-encoders.
+write paths (journal records, JSONL telemetry events).  These tests pin its
+options against that call: a hypothesis fuzz over nested JSON-ish values,
+exotic edge cases (non-finite floats, numpy scalars, non-string keys), and
+the ``str`` fallback.  Real streams are pinned byte for byte elsewhere: the
+golden traces, ``tests/study/head_specs`` and the crash-resume check.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from typing import Any
 
@@ -19,11 +18,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.backend.simulation import SimulatedCluster
 from repro.canonical import encode_canonical
-from repro.core import build_scheduler
-from repro.experiments.toys import toy_objective, toy_space
-from repro.telemetry import JSONLSink, TelemetryHub
 
 
 def _json_default(value: Any) -> Any:
@@ -98,36 +93,3 @@ def test_non_serializable_falls_back_to_str():
 
     assert encode_canonical({"x": Thing()}) == reference({"x": Thing()})
 
-
-def test_two_build_telemetry_stream_byte_identity(monkeypatch):
-    """A real run's JSONL telemetry: fast path vs forced json.dumps fallback.
-
-    Build the same seeded simulation twice — once with the fast path live,
-    once with ``_write`` disabled so every event takes the ``json.dumps``
-    fallback — and require the exported streams to be byte-identical.
-    """
-    import repro.canonical as canonical
-
-    def export() -> str:
-        buf = io.StringIO()
-        hub = TelemetryHub()
-        hub.add_sink(JSONLSink(buf))
-        scheduler = build_scheduler(
-            "asha",
-            toy_space(),
-            np.random.default_rng(7),
-            min_resource=1.0,
-            max_resource=9.0,
-            eta=3,
-        )
-        cluster = SimulatedCluster(
-            8, straggler_std=0.4, drop_probability=0.02, seed=11
-        )
-        cluster.run(scheduler, toy_objective(), time_limit=80.0, telemetry=hub)
-        return buf.getvalue()
-
-    fast = export()
-    monkeypatch.setattr(canonical, "_write", lambda value, parts: False)
-    slow = export()
-    assert fast == slow
-    assert fast.count("\n") > 100  # a real stream, not a trivial pass

@@ -175,7 +175,7 @@ def test_docs_catalogue_matches_code(tmp_path, registry):
     # beyond the catalogue.
     mux, _ = run_mux(tmp_path, 2)
     collected = set(registry.snapshot()["families"]) - catalogue
-    assert len(collected) == 8
+    assert len(collected) == 6
     assert set(documented) == catalogue | collected
 
 
