@@ -14,10 +14,12 @@ resumed in both modes and the check passes iff, each time,
 A third resume runs in a fresh interpreter, restore mode, timed from
 process start to exit: the restart an operator sees is import + resume, and
 the in-process numbers leave the import out.  The child reports its own
-import/resume split and must heal the file to the same bytes.
+import/resume split and its peak RSS after each, and must heal the file
+to the same bytes.
 
-All wall times are printed, and appended as a markdown table to
-``--summary`` (CI passes ``$GITHUB_STEP_SUMMARY``).
+All wall times and the restart's peak RSS are printed, and appended as a
+markdown table to ``--summary`` (CI passes ``$GITHUB_STEP_SUMMARY``).  The
+RSS is informational; ``tests/test_footprint.py`` gates what resume holds.
 
 Usage::
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -49,11 +52,26 @@ _RESTART = """
 import sys, time
 started = time.perf_counter()
 sys.path.insert(0, {scripts!r})
-from torn_resume_check import Study, make_scheduler
+from torn_resume_check import Study, make_scheduler, peak_rss_mb
 imported = time.perf_counter()
+rss_imported = peak_rss_mb()
 Study.resume({journal!r}, scheduler=make_scheduler(), mode="restore").close()
-print(imported - started, time.perf_counter() - imported)
+print(imported - started, time.perf_counter() - imported, rss_imported, peak_rss_mb())
 """
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size, in MB.
+
+    Linux's ``VmHWM`` where there is one: an exec'd child's ``ru_maxrss``
+    starts at its parent's peak at the fork, which here is the writer's.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return maxrss / 1024 ** (2 if sys.platform == "darwin" else 1)  # bytes there, else KiB
 
 
 def make_scheduler() -> ASHA:
@@ -130,24 +148,26 @@ def check(path: Path, target_records: int, summary: Path | None) -> int:
     started = perf_counter()
     child = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
     restart = perf_counter() - started
-    importing, resuming = map(float, child.stdout.split())
+    importing, resuming, rss_imported, rss_resumed = map(float, child.stdout.split())
     healed = path.read_bytes() == reference_bytes
     ok &= healed
     print(f"restart: healed bytes: {'ok' if healed else 'MISMATCH'}")
     print(f"restart: {restart:.3f} s from process start to study resumed "
-          f"(import {importing:.3f} s + resume {resuming:.3f} s)")
+          f"(import {importing:.3f} s + resume {resuming:.3f} s); peak RSS "
+          f"{rss_imported:.1f} MB after import, {rss_resumed:.1f} MB after resume")
 
     if summary is not None:
         with open(summary, "a") as fh:
             fh.write(
                 f"## Torn-tail resume of a {records}-record journal\n\n"
-                "| mode | wall time | records/s |\n|---|---:|---:|\n"
+                "| mode | wall time | records/s | peak RSS |\n|---|---:|---:|---:|\n"
                 + "".join(
-                    f"| `{mode}` | {s:.3f} s | {records / s:,.0f} |\n"
+                    f"| `{mode}` | {s:.3f} s | {records / s:,.0f} | (in process) |\n"
                     for mode, s in seconds.items()
                 )
                 + f"| fresh interpreter, `restore` (import {importing:.3f} s + resume "
-                f"{resuming:.3f} s) | {restart:.3f} s | {records / restart:,.0f} |\n\n"
+                f"{resuming:.3f} s) | {restart:.3f} s | {records / restart:,.0f} "
+                f"| {rss_imported:.1f} MB after import, {rss_resumed:.1f} MB after resume |\n\n"
             )
     return 0 if ok else 1
 

@@ -8,16 +8,14 @@ That canonical form is load-bearing: journals are byte-compared across
 resume/replay, telemetry streams across seeded runs.  It is also hot: one
 journal line per ask/tell and one sink line per telemetry event.
 
-:func:`encode_canonical` is the ``encode`` of one ``json.JSONEncoder``
-with exactly those options, built once at import instead of on every
-``json.dumps`` call; json's C encoder does the work.  The module is
-dependency-free so both ``study`` and ``telemetry`` can import it without
-cycles.
+:func:`encode_canonical` produces exactly those bytes from json's C encoder,
+built once at import.  The module is dependency-free so both ``study`` and
+``telemetry`` can import it without cycles.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 __all__ = ["encode_canonical"]
@@ -35,8 +33,13 @@ def unwrap(value: Any) -> Any:
     return str(value)
 
 
-#: ``encode_canonical(obj)`` is byte-identical to ``json.dumps(obj,
-#: sort_keys=True, separators=(",", ":"), default=unwrap)``.
-encode_canonical = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=unwrap
-).encode
+#: json's C encoder with the canonical options, which ``json.JSONEncoder.encode``
+#: would build anew per call.  ``markers=None``: records are trees, and a dict kept
+#: across calls would report false cycles after a failed encode; a circular value
+#: raises ``RecursionError``.
+_encode = c_make_encoder(None, unwrap, encode_basestring_ascii, None, ":", ",", True, False, True)
+
+
+def encode_canonical(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"), default=unwrap)``."""
+    return "".join(_encode(obj, 0))

@@ -23,8 +23,8 @@ makes cross-scheduler comparisons and the promotion-equivalence tests fair.
 from __future__ import annotations
 
 import hashlib
-import json
 from abc import ABC, abstractmethod
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 from ..canonical import unwrap
@@ -32,20 +32,22 @@ from ..searchspace import Config, SearchSpace
 
 __all__ = ["Objective", "config_payload", "config_seed"]
 
-_encode_config = json.JSONEncoder(sort_keys=True, default=unwrap).encode
+#: :mod:`repro.canonical`'s C encoder, with json's default separators.
+_encode_config = c_make_encoder(None, unwrap, encode_basestring_ascii, None, ": ", ", ", True,
+                                False, True)  # fmt: skip
 
 
 def config_payload(config: Config) -> bytes:
     """The canonical JSON encoding of a configuration.
 
     ``json.dumps(config, sort_keys=True, default=unwrap)`` with json's
-    default separators, from one encoder built at import; numpy scalars
+    default separators, from one C encoder built at import; numpy scalars
     encode as their Python values, as in the journal.  Callers that derive
     several seeds from the same configuration (e.g. a profile seed and a
     noise seed) encode once and pass the payload to :func:`config_seed` —
     the JSON canonicalisation dominates the hashing.
     """
-    return _encode_config(config).encode()
+    return "".join(_encode_config(config, 0)).encode()
 
 
 def config_seed(config: Config, salt: int = 0, *, payload: bytes | None = None) -> int:

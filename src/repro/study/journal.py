@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from time import perf_counter
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 from ..canonical import encode_canonical
 from ..telemetry import runtime
@@ -59,44 +60,13 @@ def encode_record(record: dict[str, Any]) -> str:
     verification compares records by their encodings (which also makes NaN
     losses compare equal — json round-trips them as literals).  The bytes
     are :func:`repro.canonical.encode_canonical`'s: the historical
-    ``json.dumps`` call, from one encoder built at import.
+    ``json.dumps`` bytes, from json's C encoder built once at import.
     """
     return encode_canonical(record)
 
 
 #: The C scanner behind ``json.loads``, called without its Python wrappers.
 _scan_once = json.JSONDecoder().scan_once
-
-
-def _scan_body(body: bytes, lines: list[str] | None) -> list[dict[str, Any]] | None:
-    """Decode a journal's newline-terminated part in one scanner loop.
-
-    Vouches only for ASCII (byte offsets are character offsets, and it is
-    all :func:`encode_record` emits) in which every line is exactly one
-    JSON object, from the line's first character to its newline.  Anything
-    else — padding, CRLF, a value spanning lines or sharing one, a
-    non-object, a scanner error — returns ``None`` and the per-line reader
-    decides instead.
-    """
-    if not body.isascii():
-        return None
-    text = body.decode("ascii")
-    records: list[dict[str, Any]] = []
-    pos = 0
-    try:
-        while pos < len(text):
-            newline = text.index("\n", pos)
-            record, end = _scan_once(text, pos)
-            if end != newline or type(record) is not dict:
-                return None
-            records.append(record)
-            pos = newline + 1
-    except (StopIteration, ValueError):
-        return None
-    if lines is not None:
-        lines.extend(text.split("\n"))
-        lines.pop()  # the empty piece after the final newline
-    return records
 
 
 def _decode_line(line: bytes, lines: list[str] | None) -> dict[str, Any]:
@@ -109,36 +79,73 @@ def _decode_line(line: bytes, lines: list[str] | None) -> dict[str, Any]:
     return record
 
 
+class _JournalScan:
+    """One read of a journal, iterated for each record as it is decoded.
+
+    ``lines``, when given, receives each record's text.  Once iteration is
+    exhausted, ``valid`` and ``terminated`` hold :func:`read_journal`'s
+    verdict; a bad line before the tail raises when iteration reaches it.
+    """
+
+    def __init__(self, path: str | os.PathLike[str], lines: list[str] | None = None) -> None:
+        self.path = os.fspath(path)
+        self.lines = lines
+        self.valid, self.terminated = 0, True
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        with open(self.path, "rb") as fh:
+            raw = fh.read()
+        valid = raw.rfind(b"\n") + 1
+        pos = number = 0
+        # The fast pass: json's C scanner at line offsets of an ASCII file
+        # (all encode_record emits), taking a line only if it is exactly one
+        # object ending at its newline.  The first line it refuses (padding,
+        # CRLF, a value spanning lines, a non-object) and the rest go to the
+        # per-line reader, which alone decides what is a JournalError.
+        text = raw.decode("ascii") if raw.isascii() else ""
+        while text and pos < valid:
+            newline = text.index("\n", pos)
+            try:
+                record, end = _scan_once(text, pos)
+            except (StopIteration, ValueError):
+                break
+            if end != newline or type(record) is not dict:
+                break
+            if self.lines is not None:
+                self.lines.append(text[pos:newline])
+            number += 1
+            pos = newline + 1
+            yield record
+        while pos < valid:
+            newline = raw.index(b"\n", pos)
+            number += 1
+            try:
+                record = _decode_line(raw[pos:newline], self.lines)
+            except (UnicodeDecodeError, ValueError) as exc:
+                raise JournalError(
+                    f"{self.path}: unparseable record on line {number} "
+                    "(only the final line of a journal may be torn)"
+                ) from exc
+            pos = newline + 1
+            yield record
+        self.valid = valid
+        # Bytes after the final newline: a tail whose newline (or more)
+        # never reached the disk.
+        if valid < len(raw):
+            try:
+                record = _decode_line(raw[valid:], self.lines)
+            except (UnicodeDecodeError, ValueError):
+                return  # torn tail — the interrupted final append
+            self.valid, self.terminated = len(raw), False
+            yield record
+
+
 def _read_journal(
     path: str | os.PathLike[str], lines: list[str] | None = None
 ) -> tuple[list[dict[str, Any]], int, bool]:
     """:func:`read_journal`; ``lines``, when given, receives each record's text."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    valid = raw.rfind(b"\n") + 1
-    body, tail = raw[:valid], raw[valid:]
-    records = _scan_body(body, lines)
-    if records is None:
-        records = []
-        for number, line in enumerate(body.split(b"\n")[:-1], start=1):
-            try:
-                records.append(_decode_line(line, lines))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise JournalError(
-                    f"{os.fspath(path)}: unparseable record on line {number} "
-                    "(only the final line of a journal may be torn)"
-                ) from exc
-    # Bytes after the final newline: empty when the file is cleanly
-    # terminated, otherwise a tail whose trailing newline (or more) never
-    # reached the disk.
-    if tail:
-        try:
-            records.append(_decode_line(tail, lines))
-        except (UnicodeDecodeError, ValueError):
-            pass  # torn tail — the interrupted final append
-        else:
-            return records, len(raw), False
-    return records, valid, True
+    records = list(scan := _JournalScan(path, lines))
+    return records, scan.valid, scan.terminated
 
 
 def read_journal(path: str | os.PathLike[str]) -> tuple[list[dict[str, Any]], int, bool]:
@@ -189,9 +196,8 @@ class Journal:
         writer: "JournalWriter | None" = None,
         _scanned: tuple[int, bool] | None = None,
     ):
-        # ``_scanned``: the ``(valid_bytes, terminated)`` of a read_journal
-        # pass the caller (Study.resume) has just made, so reopening does
-        # not read and decode the file a second time.
+        # ``_scanned``: the ``(valid_bytes, terminated)`` of a scan Study.resume
+        # has just drained, so reopening does not read the file a second time.
         if mode not in ("w", "a"):
             raise ValueError(f"mode must be 'w' or 'a', got {mode!r}")
         self.path = os.fspath(path)
@@ -213,7 +219,10 @@ class Journal:
             os.makedirs(directory, exist_ok=True)
         valid, terminated = 0, True
         if mode == "a" and os.path.exists(self.path):
-            valid, terminated = _scanned if _scanned is not None else read_journal(self.path)[1:]
+            if _scanned is None:
+                deque(scan := _JournalScan(self.path), maxlen=0)  # decode all, keep none
+                _scanned = scan.valid, scan.terminated
+            valid, terminated = _scanned
         if valid:
             with open(self.path, "r+b") as fh:
                 fh.truncate(valid)
@@ -293,15 +302,14 @@ class Journal:
         if self._closed:
             return
         if self._pending is not None:
-            if self._wal_durable:
-                # Leave the tail in the buffer: the writer's finalize_all
-                # groups every journal's tail into one WAL commit (one
-                # fsync total) instead of draining here per file.
-                return
-            with open(self.path, "ab") as fh:
-                fh.write(self._take_pending())
-                fh.flush()
-                self._fsync(fh)
+            # WAL-durable: leave the tail in the buffer, for the writer's
+            # finalize_all to group every journal's tail into one WAL commit
+            # (one fsync total) instead of draining here per file.
+            if not self._wal_durable:
+                with open(self.path, "ab") as fh:
+                    fh.write(self._take_pending())
+                    fh.flush()
+                    self._fsync(fh)
             return
         assert self._file is not None
         self._file.flush()
@@ -342,8 +350,7 @@ def read_wal(path: str | os.PathLike[str]) -> dict[str, bytes]:
     with open(path, "rb") as fh:
         raw = fh.read()
     out: dict[str, bytearray] = {}
-    pos = 0
-    frame = 0
+    pos = frame = 0
     while pos < len(raw):
         end = raw.find(b"\n", pos, pos + 64)
         if end < 0:
@@ -365,10 +372,8 @@ def read_wal(path: str | os.PathLike[str]) -> dict[str, bytes]:
         if start + name_len + data_len > len(raw):
             break  # torn frame body — the commit a crash interrupted
         name = raw[start : start + name_len].decode("utf-8")
-        out.setdefault(name, bytearray()).extend(
-            raw[start + name_len : start + name_len + data_len]
-        )
         pos = start + name_len + data_len
+        out.setdefault(name, bytearray()).extend(raw[start + name_len : pos])
         frame += 1
     return {name: bytes(data) for name, data in out.items()}
 
@@ -436,18 +441,12 @@ class JournalWriter:
             # construction (the multiplexer builds it in __init__); commits
             # are cold, so the late re-resolve costs nothing measurable.
             probes = self._probes = runtime.probes("wal", target="wal")
-        if self._wal is None:
-            for journal in self._journals:
-                journal.commit()
-            self.commits += 1
-            if probes is not None:
-                probes.commits.inc()
-            return
         dirty: list[tuple[Journal, bytes]] = []
         frames: list[bytes] = []
         for journal in self._journals:
-            data = journal._take_pending()
-            if data:
+            if self._wal is None:
+                journal.commit()
+            elif data := journal._take_pending():
                 name = journal.path.encode("utf-8")
                 frames.append(b"%s%d %d\n%s%s" % (_WAL_MAGIC, len(name), len(data), name, data))
                 dirty.append((journal, data))

@@ -28,10 +28,11 @@ be re-executed:
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from time import perf_counter
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from ..core.scheduler import Scheduler
 from ..core.serialization import config_state
@@ -43,7 +44,7 @@ from .journal import (
     Journal,
     JournalError,
     JournalWriter,
-    _read_journal,
+    _JournalScan,
     encode_record,
 )
 from .spec import scheduler_from_spec
@@ -84,13 +85,14 @@ class Study:
             self.journal = journal
         else:
             self.journal = Journal(journal, spec=spec)
-        # Replay cursor: records still to be verified against live
-        # re-execution, and the journal line each one was decoded from.
-        self._cursor: list[dict[str, Any]] = []
+        # Replay cursor: the journal lines still to be verified (decoded again
+        # only when a verification misses), each record's ``(job_id, loss)``
+        # key (``loss`` None unless a tell), and job_id -> loss of every tell
+        # not yet consumed (a dict: an empty set is 152 bytes more a study).
         self._cursor_lines: list[str] = []
+        self._cursor_keys: list[tuple[Any, float | None]] = []
         self._cursor_pos = 0
-        # job_id -> journalled loss for every tell the cursor has not consumed.
-        self._replay_tells: dict[int, float] = {}
+        self._replay_tells: dict[Any, float] = {}
         # Restore-mode asks the crash left unresolved; re-dispatched by
         # ask() in journal order.  A deque: a restore can leave hundreds of
         # in-flight asks, and list.pop(0) made re-dispatch quadratic.  None
@@ -117,7 +119,7 @@ class Study:
             job = self.scheduler.next_job()
             if job is None:
                 return None
-            if self.journal is not None or self._cursor_pos < len(self._cursor):
+            if self.journal is not None or self._cursor_pos < len(self._cursor_keys):
                 # Unjournalled live studies skip building the record outright:
                 # the config round-trip through canonical JSON dominated the
                 # simulator's ask cost and the dict was thrown away unseen.
@@ -169,7 +171,7 @@ class Study:
         # are the costliest part of the probes, and every tell is one call.
         timed = probes is not None and not job.job_id & 7
         started = perf_counter() if timed else 0.0
-        if self.journal is not None or self._cursor_pos < len(self._cursor):
+        if self.journal is not None or self._cursor_pos < len(self._cursor_keys):
             self._record(self._tell_record(job, loss, time))
         self.scheduler.report(job, loss)
         if probes is not None:
@@ -216,12 +218,12 @@ class Study:
 
     def _record(self, record: dict[str, Any]) -> None:
         """Verify against the replay cursor, or append live."""
-        if self._cursor_pos < len(self._cursor):
+        if self._cursor_pos < len(self._cursor_keys):
             line = encode_record(record)
             if line != self._cursor_lines[self._cursor_pos]:
                 # Not the bytes on disk: a hand-edited journal may still
                 # hold the same record in another spelling.
-                expected = encode_record(self._cursor[self._cursor_pos])
+                expected = encode_record(json.loads(self._cursor_lines[self._cursor_pos]))
                 if line != expected:
                     raise JournalReplayError(
                         f"replay diverged at journal line {self._cursor_pos + 2}: "
@@ -241,7 +243,7 @@ class Study:
     @property
     def replaying(self) -> bool:
         """Whether a resume cursor is still verifying against the journal."""
-        return self._cursor_pos < len(self._cursor)
+        return self._cursor_pos < len(self._cursor_keys)
 
     def cached_loss(self, job: Job) -> float | None:
         """The journalled loss for ``job`` iff its tell is the next record.
@@ -249,10 +251,10 @@ class Study:
         Backends call this when a job completes during replay: a hit means
         training can be skipped outright and the recorded loss reported.
         """
-        if self._cursor_pos < len(self._cursor):
-            nxt = self._cursor[self._cursor_pos]
-            if nxt.get("kind") == "tell" and nxt.get("job_id") == job.job_id:
-                return float(nxt["loss"])
+        if self._cursor_pos < len(self._cursor_keys):
+            job_id, loss = self._cursor_keys[self._cursor_pos]
+            if loss is not None and job_id == job.job_id:
+                return loss
         return None
 
     def has_cached_loss(self, job_id: int) -> bool:
@@ -299,19 +301,23 @@ class Study:
     ) -> Study:
         """Reopen a journal and bring a scheduler back to its recorded state.
 
-        The file is read and decoded once; its torn tail (if the previous
-        process died mid-append) is healed in place.  With ``scheduler=None``
-        the scheduler is reconstructed from the recipe in the journal header,
-        which exists whenever the study was built from registered names.  A
-        file holding no complete record — the process died before the header
-        landed — resumes as an empty study on a fresh journal, which needs
-        the scheduler passed in.
+        The file is read once and decoded a record at a time; neither mode
+        holds the decoded records.  ``scheduler=None`` rebuilds the scheduler
+        from the header's recipe, present whenever the study was built from
+        registered names.  A file with no complete record (the process died
+        before the header landed) resumes as an empty study on a fresh
+        journal, which needs the scheduler passed in.
 
-        ``mode="replay"`` arms the verification cursor and returns
-        immediately; hand the study to the same simulated backend and the
-        run re-executes deterministically, skipping journalled training.
-        ``mode="restore"`` drives the scheduler through the records eagerly
-        (for the wall-clock thread backend, whose timings cannot replay).
+        ``mode="replay"`` keeps each record's line and ``(job_id, loss)``
+        key as the verification cursor; hand the study to the same simulated
+        backend and the run re-executes, skipping journalled training.
+        ``mode="restore"`` drives the scheduler with each record as it is
+        decoded (for the wall-clock thread backend, which cannot replay).
+
+        The journal is opened (its torn tail healed, ``journal_writer``
+        registered) only after the last record: a resume that raises opens
+        nothing and leaves the file alone, though a scheduler passed in is
+        left driven up to the line the :class:`JournalError` names.
 
         ``journal_writer`` switches the reopened journal into group-commit
         mode (see :class:`~repro.study.journal.JournalWriter`), so a crashed
@@ -321,10 +327,10 @@ class Study:
             raise ValueError(f"mode must be 'replay' or 'restore', got {mode!r}")
         path = os.fspath(journal_path)
         lines: list[str] | None = [] if mode == "replay" else None
-        records, valid, terminated = _read_journal(path, lines)
-        spec = None
-        if records:
-            header = records[0]
+        scan = _JournalScan(path, lines)
+        records = iter(scan)
+        header = next(records, None)
+        if header is not None:
             if header.get("kind") != "journal_header":
                 raise JournalError(f"{path}: missing journal header")
             if header.get("version") != JOURNAL_VERSION:
@@ -332,74 +338,63 @@ class Study:
                     f"{path}: journal version {header.get('version')!r} "
                     f"not supported (expected {JOURNAL_VERSION})"
                 )
-            spec = header.get("spec")
-        elif scheduler is None:
-            raise JournalError(
-                f"{path}: holds no journal header to rebuild the scheduler from; "
-                "pass the reconstructed scheduler explicitly"
-            )
         if scheduler is None:
-            if spec is None:
-                raise JournalError(
-                    f"{path}: journal header has no scheduler recipe; "
-                    "pass the reconstructed scheduler explicitly"
-                )
-            scheduler = scheduler_from_spec(spec)
-        # The journal heals its torn tail from the scan above instead of
-        # reading the file again; what stays on disk is exactly `records`.
-        journal = Journal(path, mode="a", writer=journal_writer, _scanned=(valid, terminated))
-        study = cls(scheduler, journal=journal)
-        del records[:1]  # the header; the rest is the body
-        if lines is not None:
-            del lines[:1]
-            study._cursor = records
-            study._cursor_lines = lines
-            study._replay_tells = {
-                int(record["job_id"]): float(record["loss"])
-                for record in records
-                if record.get("kind") == "tell"
-            }
-        else:
+            if header is None or header.get("spec") is None:
+                what = "no journal header" if header is None else "no recipe in the journal header"
+                raise JournalError(f"{path}: {what}; pass the reconstructed scheduler explicitly")
+            scheduler = scheduler_from_spec(header["spec"])
+        study = cls(scheduler)
+        if lines is None:
             study._restore(records)
+        else:
+            keys = [
+                (r.get("job_id"), float(r["loss"]) if r.get("kind") == "tell" else None)
+                for r in records
+            ]
+            del lines[:1]  # the header's
+            study._cursor_lines, study._cursor_keys = lines, keys
+            study._replay_tells = {job_id: loss for job_id, loss in keys if loss is not None}
+        # Healed from the drained scan's verdict, not a second read.
+        study.journal = Journal(
+            path, mode="a", writer=journal_writer, _scanned=(scan.valid, scan.terminated)
+        )
         return study
 
-    def _restore(self, body: list[dict[str, Any]]) -> None:
-        """Eagerly re-drive the scheduler through the journalled records."""
+    def _restore(self, body: Iterator[dict[str, Any]]) -> None:
+        """Re-drive the scheduler through ``body``, the records after the header."""
         outstanding: dict[int, Job] = {}
 
-        def resolve(record: dict[str, Any], index: int, *, keep: bool = False) -> Job:
-            job = outstanding.get(record["job_id"]) if keep else outstanding.pop(
-                record["job_id"], None
-            )
+        def resolve(record: dict[str, Any], line: int, *, keep: bool = False) -> Job:
+            job = (outstanding.get if keep else outstanding.pop)(record["job_id"], None)
             if job is None:
                 raise JournalReplayError(
-                    f"restore diverged at journal line {index + 2}: "
+                    f"restore diverged at journal line {line}: "
                     f"{record['kind']} for job {record['job_id']} which is not in flight"
                 )
             return job
 
-        for i, record in enumerate(body):
+        for line, record in enumerate(body, start=2):
             kind = record.get("kind")
             if kind == "ask":
                 job = self.scheduler.next_job()
                 if job is None or job.job_id != record["job_id"]:
                     produced = "nothing" if job is None else f"job {job.job_id}"
                     raise JournalReplayError(
-                        f"restore diverged at journal line {i + 2}: journal asked "
+                        f"restore diverged at journal line {line}: journal asked "
                         f"job {record['job_id']}, scheduler produced {produced}"
                     )
                 outstanding[job.job_id] = job
             elif kind == "tell":
-                self.scheduler.report(resolve(record, i), float(record["loss"]))
+                self.scheduler.report(resolve(record, line), float(record["loss"]))
             elif kind == "fail":
-                self.scheduler.on_job_failed(resolve(record, i))
+                self.scheduler.on_job_failed(resolve(record, line))
             elif kind == "requeue":
-                self.scheduler.on_job_requeued(resolve(record, i, keep=True))
+                self.scheduler.on_job_requeued(resolve(record, line, keep=True))
             elif kind == "abandon":
-                self.scheduler.on_trial_abandoned(resolve(record, i))
+                self.scheduler.on_trial_abandoned(resolve(record, line))
             else:
-                raise JournalError(f"unknown journal record kind {kind!r} on line {i + 2}")
-        self._orphaned = deque(outstanding.values())
+                raise JournalError(f"unknown journal record kind {kind!r} on line {line}")
+        self._orphaned = deque(outstanding.values()) if outstanding else None
 
     @property
     def orphaned_jobs(self) -> list[Job]:

@@ -61,7 +61,7 @@ class JSONLSink:
     simulation run exports a **byte-identical** file every time.  That is
     the property regression tests and offline diffing lean on.  Encoding
     is :func:`repro.canonical.encode_canonical` (the historical
-    ``json.dumps`` call from one prebuilt encoder, pinned by
+    ``json.dumps`` bytes from json's C encoder built once, pinned by
     ``tests/telemetry/test_canonical.py``) — one line per event makes this
     the hottest serialisation site when a sink is attached.
     """

@@ -9,8 +9,10 @@ too.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from repro.backend import RetryPolicy, SimulatedCluster, ThreadPoolBackend
 from repro.backend.process_pool import ProcessPoolBackend
 from repro.core import ASHA, build_scheduler
 from repro.experiments.toys import toy_objective, toy_space
-from repro.study import JournalWriter, Study, read_journal
+from repro.study import JournalError, JournalReplayError, JournalWriter, Study, read_journal
 from repro.telemetry import JSONLSink, TelemetryHub
 from repro.tune import FunctionObjective
 
@@ -280,3 +282,46 @@ def test_header_specs_of_the_composite_names_still_resume(tmp_path, name):
     )
     study.close()
     assert path.read_bytes() == recorded
+
+
+
+def toy_asha(eta=3, **kwargs):
+    return ASHA(toy_space(), np.random.default_rng(0), min_resource=1.0, max_resource=9.0,
+                eta=eta, **kwargs)
+
+
+@pytest.mark.parametrize("fault", ["diverges", "corrupt-line"])
+def test_a_restore_that_raises_opens_nothing(tmp_path, fault):
+    """The journal is opened only after the last record is driven.
+
+    A resume that raises — the scheduler diverges from the journal, or a
+    line mid-file is corrupt — leaks no open file, registers nothing with
+    the writer, and leaves the file's bytes as they were (torn tail and all).
+    """
+    path = tmp_path / "ten.journal.jsonl"
+    study = Study(toy_asha(), journal=path)
+    for i in range(10):
+        study.tell(study.ask(), 1.0 / (1 + i))
+    study.close()
+    raw = path.read_bytes()
+    if fault == "corrupt-line":
+        lines = raw.splitlines(keepends=True)
+        lines[5] = b"{not json\n"
+        raw = b"".join(lines)
+    raw += b'{"kind":"ask","job'  # a torn tail a successful resume would heal
+    path.write_bytes(raw)
+    expected = JournalReplayError if fault == "diverges" else JournalError
+    writer = JournalWriter()
+    # A file left open warns when it is collected, from a finalizer that
+    # cannot raise, so the warnings are recorded rather than made errors.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for journal_writer in (None, writer):
+            scheduler = toy_asha(eta=2, max_trials=1) if fault == "diverges" else toy_asha()
+            with pytest.raises(expected):
+                Study.resume(path, scheduler=scheduler, mode="restore",
+                             journal_writer=journal_writer)
+            gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+    assert len(writer) == 0
+    assert path.read_bytes() == raw

@@ -13,7 +13,12 @@ module-level table) measures, deterministically:
     measured when the ceiling was last set, plus 5 %;
 (c) the length of every module-level ``dict``/``list``/``set`` of every loaded
     ``repro.*`` module, before and after — none may grow with the trial count,
-    nor (``repro.forkpool``'s inherited table) with the pools opened and closed.
+    nor (``repro.forkpool``'s inherited table) with the pools opened and closed;
+(d) what ``Study.resume`` holds, on journals of 4k and 16k records: restore's
+    peak above what the restored study keeps may grow with the file by its
+    bytes and their text and nothing per record (:data:`RESTORE_EXCESS_PER_BYTE`),
+    and a replay-armed study keeps its journal's lines and a small key per
+    record, never the decoded records (:data:`REPLAY_CEILING`).
 
 ``pytest tests/test_footprint.py -q -s`` prints the table (CI appends it to
 the job summary).
@@ -47,6 +52,18 @@ UNITS = {
 #: Object sizes differ between interpreter versions, so only 3.11 is held to
 #: these; the table is printed on every version.
 CEILINGS = {"bare": 1503, "observed": 2734, "hosted": 19_682}
+
+#: Restore's transient — peak during ``Study.resume(mode="restore")`` minus
+#: what the restored study retains — may grow by this many bytes per byte
+#: the journal grows: the file's bytes and their ASCII text (measured 2.00),
+#: with room for the one record being decoded.  A reader that returned the
+#: list of decoded records measured 5.98.
+RESTORE_EXCESS_PER_BYTE = 2.2
+
+#: Bytes a replay-armed study retains per journal record: its line, a
+#: ``(job_id, loss)`` key and its tell's entry.  Measured 417 on CPython
+#: 3.11 when set, plus 5 %; a cursor of decoded records measured 1665.
+REPLAY_CEILING = 438
 
 _PROBE = r"""
 import gc, json, os, sys, tracemalloc
@@ -135,6 +152,49 @@ ProcessPoolBackend(2, n_procs=2, seed=3).run(
     toy_objective(), time_limit=20.0)
 
 after = module_containers()
+
+
+def resume_scheduler():
+    return ASHA(ptb_lstm.space(), np.random.default_rng(0), min_resource=R / 64,
+                max_resource=R, eta=4)
+
+
+def journal_of(records):
+    # About `records` records of ASHA on the PTB-LSTM space, 64 jobs in flight.
+    path = os.path.join(WORKDIR, f"resume{records}.journal.jsonl")
+    study, in_flight = Study(resume_scheduler(), journal=path), []
+    for _ in range((records - 63) // 2):
+        while len(in_flight) < 64:
+            in_flight.append(study.ask())
+        job = in_flight.pop(0)
+        study.tell(job, (job.job_id * 0.618) % 1.0)
+    study.close()
+    return path
+
+
+SIZES = (4000, 16_000)
+paths = {records: journal_of(records) for records in SIZES}
+Study.resume(paths[SIZES[0]], scheduler=resume_scheduler(), mode="replay").close()  # warm-up
+out["resume"] = {"records": {}, "bytes": {}, "restore_excess": {}, "replay_retained": {}}
+tracemalloc.start()
+for records, path in paths.items():
+    out["resume"]["records"][records] = sum(1 for _ in open(path, "rb")) - 1
+    out["resume"]["bytes"][records] = os.path.getsize(path)
+    gc.collect()
+    tracemalloc.reset_peak()
+    study = Study.resume(path, scheduler=resume_scheduler(), mode="restore")
+    retained, peak = tracemalloc.get_traced_memory()
+    out["resume"]["restore_excess"][records] = peak - retained
+    study.close()
+    del study
+    gc.collect()
+    baseline = tracemalloc.get_traced_memory()[0]
+    study = Study.resume(path, scheduler=resume_scheduler(), mode="replay")
+    gc.collect()
+    out["resume"]["replay_retained"][records] = tracemalloc.get_traced_memory()[0] - baseline
+    study.close()
+    del study
+tracemalloc.stop()
 out["grown"] = {name: [containers_before.get(name, 0), size] for name, size in after.items()
                 if size > containers_before.get(name, 0)}
 print(json.dumps(out))
@@ -159,7 +219,24 @@ def footprint(tmp_path_factory):
             f"| {kind} | {units} {plural} | {out['live'][kind]} B "
             f"| {out['live'][kind] / units:.0f} B/{unit} | {out['dropped'][kind]} B |"
         )
+    resume = out["resume"]
+    print("\n| resume | records | journal bytes | restore excess | replay retained |")
+    print("|---|---|---|---|---|")
+    for size in resume["records"]:
+        print(
+            f"| {size} | {resume['records'][size]} | {resume['bytes'][size]} B "
+            f"| {resume['restore_excess'][size]} B | {resume['replay_retained'][size]} B |"
+        )
     return out
+
+
+def growth(footprint, measure, per):
+    """How much ``measure`` grows per unit of ``per`` from the small journal to the large."""
+    resume = footprint["resume"]
+    small, large = sorted(resume[per], key=int)
+    return (resume[measure][large] - resume[measure][small]) / (
+        resume[per][large] - resume[per][small]
+    )
 
 
 def test_a_dropped_search_gives_its_memory_back(footprint):
@@ -186,4 +263,24 @@ def test_no_module_level_container_grows_with_the_trial_count(footprint):
     assert footprint["grown"] == {}, (
         "module-level containers grew across the measured runs (name: [before, after]): "
         f"{footprint['grown']}"
+    )
+
+
+def test_restore_holds_one_record_not_the_history(footprint):
+    per_byte = growth(footprint, "restore_excess", "bytes")
+    assert per_byte <= RESTORE_EXCESS_PER_BYTE, (
+        f"restore's transient grows by {per_byte:.2f} bytes per journal byte, over "
+        f"{RESTORE_EXCESS_PER_BYTE}: something holds decoded records while the scheduler "
+        "is driven"
+    )
+
+
+def test_replay_cursor_keeps_lines_not_records(footprint):
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("the ceiling is CPython 3.11 object sizes; see the printed table")
+    per_record = growth(footprint, "replay_retained", "records")
+    assert per_record <= REPLAY_CEILING, (
+        f"a replay-armed study retains {per_record:.0f} bytes per journal record, over "
+        f"the budget of {REPLAY_CEILING}; give the bytes back, or raise the ceiling in "
+        "this PR's own diff and say in CHANGES.md what they bought"
     )
