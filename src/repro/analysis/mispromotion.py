@@ -5,11 +5,12 @@ of mispromoted configurations is roughly sqrt(n), since the process
 resembles the convergence of an empirical cumulative distribution function
 to its expected value (c.f. the Dvoretzky-Kiefer-Wolfowitz inequality)."
 
-We reproduce the stochastic process exactly: configurations with i.i.d.
-quality arrive one at a time (ASHA's growing base rung); after each arrival
-ASHA promotes any configuration currently in the top ``1/eta`` fraction
-that has not been promoted yet.  A *mispromotion* is a promoted
-configuration that does not belong to the top ``n/eta`` of the final pool.
+We reproduce the stochastic process exactly, on the system's own
+:class:`~repro.core.rung.Rung`: configurations with i.i.d. quality arrive one
+at a time (ASHA's growing base rung); after each arrival the rung promotes
+its best promotable configuration until none is left, as ASHA's promotion
+scan does.  A *mispromotion* is a promoted configuration that does not
+belong to the top ``n/eta`` of the final pool.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..core.rung import Rung
 
 __all__ = ["simulate_mispromotions", "MispromotionStudy", "mispromotion_curve"]
 
@@ -26,23 +29,13 @@ def simulate_mispromotions(n: int, eta: int, rng: np.random.Generator) -> int:
     if n < eta:
         return 0
     losses = rng.random(n)
-    promoted: list[int] = []
-    promoted_set: set[int] = set()
-    # Maintain the sorted prefix incrementally; n is a few thousand at most in
-    # the bench, so a numpy argsort per arrival would be O(n^2 log n) — use
-    # insertion into a sorted list of (loss, index) instead.
-    import bisect
-
-    sorted_prefix: list[tuple[float, int]] = []
-    for i in range(n):
-        bisect.insort(sorted_prefix, (losses[i], i))
-        quota = (i + 1) // eta
-        for loss, idx in sorted_prefix[:quota]:
-            if idx not in promoted_set:
-                promoted_set.add(idx)
-                promoted.append(idx)
+    rung = Rung(0, 1.0)
+    for trial_id, loss in enumerate(losses.tolist()):
+        rung.record(trial_id, loss)
+        while (promotable := rung.first_promotable(eta)) is not None:
+            rung.mark_promoted(promotable)
     true_top = set(np.argsort(losses)[: n // eta].tolist())
-    return sum(1 for idx in promoted if idx not in true_top)
+    return len(rung.promoted - true_top)
 
 
 @dataclass

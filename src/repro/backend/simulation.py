@@ -152,15 +152,20 @@ class SimRun:
         self.store = CheckpointStore()
         self.result = BackendResult()
         # A bare scheduler gets an unjournalled Study, so there is one code
-        # path; ``trace`` rides a TraceBuilder on the hub (made if absent).
+        # path; ``trace`` reads the hub's MetricsCollector's builder, or
+        # rides a TraceBuilder of its own on the hub (made if absent).
         self.study = study = scheduler if isinstance(scheduler, Study) else Study(scheduler)
         hub = telemetry if telemetry is not None else study.telemetry
         self.tracer = None
         if trace:
-            self.tracer = TraceBuilder()
-            if not hub:
-                hub = TelemetryHub()
-            hub.add_sink(self.tracer)
+            collector = hub.metrics
+            if collector is not None:
+                self.tracer = collector.builder
+            else:
+                self.tracer = TraceBuilder()
+                if not hub:
+                    hub = TelemetryHub()
+                hub.add_sink(self.tracer)
         if telemetry is not None or trace:
             study.attach_telemetry(hub)
         self.hub = self.store.telemetry = hub
@@ -242,6 +247,7 @@ class SimRun:
         credit = attempt.credit = self._start(attempt)
         self.busy_time += credit
         if self.hub:
+            # Nothing reads ``busy_credit``/``busy_correction``; golden traces pin them.
             extra = {"attempt": number} if number > 1 else {}
             self.hub.emit(
                 EventKind.JOB_STARTED,
@@ -390,11 +396,8 @@ class SimRun:
         """
         job = attempt.job
         study = self.study
-        result = self.result
         hub = self.hub
         time = self.clock
-        result.failures.append((time, job.trial_id))
-        result.time_lost_to_failures += lost
         payload: dict = {"reason": reason}
         if self.faults is None:
             decision = None
@@ -406,7 +409,7 @@ class SimRun:
             payload.update(attempt=decision.failures, lost=lost)
         if error is not None:
             payload["error"] = error
-        result.failure_log.append(
+        self.result.failure_log.append(
             FailureRecord(
                 time=time,
                 trial_id=job.trial_id,
@@ -434,7 +437,6 @@ class SimRun:
         if decision is None:
             return
         if decision.retry:
-            result.jobs_retried += 1
             if self.retry_probes is not None:
                 self.retry_probes.retries.inc()
             study.on_job_requeued(job)
@@ -451,7 +453,6 @@ class SimRun:
                 )
             self._push(time + decision.delay, "retry", (job, decision.failures + 1))
         else:
-            result.trials_abandoned += 1
             study.on_trial_abandoned(job)
             if hub:
                 hub.emit(
@@ -834,11 +835,13 @@ class SimulatedCluster:
             retry-eligible like any other.
         trace:
             Reconstruct the run's span/timeline trace (opt-in, like
-            ``telemetry``): a :class:`~repro.telemetry.TraceBuilder` is
-            attached as a sink (a hub is created if none was given) and the
-            finished :class:`~repro.telemetry.Trace` lands on
-            :attr:`BackendResult.trace`.  Purely observational — scheduling,
-            RNG draws and timing are untouched.
+            ``telemetry``): the hub's :class:`~repro.telemetry.MetricsCollector`
+            already builds one, and the report is read off it; without a
+            collector a :class:`~repro.telemetry.TraceBuilder` is attached as a
+            sink (a hub is created if none was given).  The finished
+            :class:`~repro.telemetry.Trace` lands on :attr:`BackendResult.trace`.
+            Purely observational — scheduling, RNG draws and timing are
+            untouched.
         """
         queue = EventQueue()
         state = SimRun(

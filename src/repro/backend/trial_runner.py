@@ -46,16 +46,8 @@ class BackendResult:
     measurements: list[Measurement] = field(default_factory=list)
     #: (time, trial_id) for every job finishing at resource >= max_resource.
     completions: list[tuple[float, int]] = field(default_factory=list)
-    #: (time, trial_id) for every dropped/failed job.
-    failures: list[tuple[float, int]] = field(default_factory=list)
-    #: Rich per-failure records, parallel to ``failures``.
+    #: One record per failed attempt, in order: the run's one failure account.
     failure_log: list[FailureRecord] = field(default_factory=list)
-    #: Re-dispatches granted by the run's retry policy (0 without one).
-    jobs_retried: int = 0
-    #: Trials quarantined after exhausting their retry budget.
-    trials_abandoned: int = 0
-    #: Backend time spent on attempts that ultimately failed.
-    time_lost_to_failures: float = 0.0
     #: completed-bracket counter snapshots, parallel to ``measurements``
     #: (None for schedulers without the notion) — Appendix A.2 accounting.
     bracket_snapshots: list[int | None] = field(default_factory=list)
@@ -71,6 +63,29 @@ class BackendResult:
     #: Reconstructed span/timeline trace when the run was started with
     #: ``trace=True`` (see :mod:`repro.telemetry.tracing`); ``None`` otherwise.
     trace: Trace | None = None
+
+    @property
+    def failures(self) -> list[tuple[float, int]]:
+        """(time, trial_id) for every dropped/failed job."""
+        return [(record.time, record.trial_id) for record in self.failure_log]
+
+    @property
+    def jobs_retried(self) -> int:
+        """Re-dispatches granted by the run's retry policy (0 without one)."""
+        return sum(1 for record in self.failure_log if record.action == "retried")
+
+    @property
+    def trials_abandoned(self) -> int:
+        """Trials quarantined after exhausting their retry budget."""
+        return sum(1 for record in self.failure_log if record.action == "abandoned")
+
+    @property
+    def time_lost_to_failures(self) -> float:
+        """Backend time spent on attempts that ultimately failed."""
+        lost = 0.0
+        for record in self.failure_log:  # in order: ``sum`` rounds differently on 3.12
+            lost += record.lost
+        return lost
 
     def first_completion_time(self) -> float | None:
         """Clock time of the first job finishing at the max resource."""

@@ -69,8 +69,8 @@ def encode_record(record: dict[str, Any]) -> str:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _decode_line(line: bytes, lines: list[str] | None) -> dict[str, Any]:
-    text = line.decode("utf-8")
+def _decode_line(line: bytes | str, lines: list[str] | None) -> dict[str, Any]:
+    text = line if type(line) is str else line.decode("utf-8")
     record = json.loads(text)
     if type(record) is not dict:
         raise ValueError("a journal record is a JSON object")
@@ -94,33 +94,37 @@ class _JournalScan:
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         with open(self.path, "rb") as fh:
-            raw = fh.read()
-        valid = raw.rfind(b"\n") + 1
+            data: bytes | str = fh.read()
+        valid = data.rfind(b"\n") + 1
+        # An ASCII file (all encode_record emits) is held once, as its text;
+        # any other stays bytes, decoded a line at a time.
+        if data.isascii():
+            data = data.decode("ascii")
+        newline_mark = "\n" if type(data) is str else b"\n"
         pos = number = 0
-        # The fast pass: json's C scanner at line offsets of an ASCII file
-        # (all encode_record emits), taking a line only if it is exactly one
-        # object ending at its newline.  The first line it refuses (padding,
-        # CRLF, a value spanning lines, a non-object) and the rest go to the
-        # per-line reader, which alone decides what is a JournalError.
-        text = raw.decode("ascii") if raw.isascii() else ""
-        while text and pos < valid:
-            newline = text.index("\n", pos)
+        # The fast pass: json's C scanner at line offsets of an ASCII file,
+        # taking a line only if it is exactly one object ending at its
+        # newline.  The first line it refuses (padding, CRLF, a value
+        # spanning lines, a non-object) and the rest go to the per-line
+        # reader, which alone decides what is a JournalError.
+        while type(data) is str and pos < valid:
+            newline = data.index("\n", pos)
             try:
-                record, end = _scan_once(text, pos)
+                record, end = _scan_once(data, pos)
             except (StopIteration, ValueError):
                 break
             if end != newline or type(record) is not dict:
                 break
             if self.lines is not None:
-                self.lines.append(text[pos:newline])
+                self.lines.append(data[pos:newline])
             number += 1
             pos = newline + 1
             yield record
         while pos < valid:
-            newline = raw.index(b"\n", pos)
+            newline = data.index(newline_mark, pos)
             number += 1
             try:
-                record = _decode_line(raw[pos:newline], self.lines)
+                record = _decode_line(data[pos:newline], self.lines)
             except (UnicodeDecodeError, ValueError) as exc:
                 raise JournalError(
                     f"{self.path}: unparseable record on line {number} "
@@ -131,12 +135,12 @@ class _JournalScan:
         self.valid = valid
         # Bytes after the final newline: a tail whose newline (or more)
         # never reached the disk.
-        if valid < len(raw):
+        if valid < len(data):
             try:
-                record = _decode_line(raw[valid:], self.lines)
+                record = _decode_line(data[valid:], self.lines)
             except (UnicodeDecodeError, ValueError):
                 return  # torn tail — the interrupted final append
-            self.valid, self.terminated = len(raw), False
+            self.valid, self.terminated = len(data), False
             yield record
 
 

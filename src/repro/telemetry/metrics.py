@@ -20,18 +20,23 @@ systems claims are stated in:
 * **failure rate** — failed jobs over dispatched jobs;
 * **per-worker utilisation** — busy time per worker; its mean over workers
   reproduces the scalar ``BackendResult.utilization``.
+
+Queue wait, utilisation and time lost to failures are worker time: the
+collector reads them off the spans of the trace it builds from the same
+stream, rather than keeping a second account of its own.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from array import array
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .events import EventKind, TelemetryEvent
 from .exposition import LABEL_NAME_RE, series_key
+from .tracing import AttemptSpan, TraceBuilder
 
 __all__ = [
     "Counter",
@@ -330,13 +335,20 @@ class MetricsReport:
 class MetricsCollector:
     """Telemetry sink folding events into the registry + derived series.
 
-    All bookkeeping is keyed off event payloads only, so the collector can
-    be replayed over a recorded stream (e.g. the in-memory sink's events)
-    and produce the identical report.
+    The collector folds what only it reports — the counters, rung
+    occupancy, promotion latency and proposal origins — and forwards every
+    event to the :class:`~repro.telemetry.tracing.TraceBuilder` it owns
+    (:attr:`builder`).  Worker time — busy time, time lost to failures,
+    queue wait and the utilisation series — is read off that builder's
+    spans when a report is taken, so the report and a run's ``trace`` are
+    one account.  Everything is keyed off event payloads only, so the
+    collector can be replayed over a recorded stream (e.g. the in-memory
+    sink's events) and produce the identical report.
     """
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
+        self.builder = TraceBuilder()
         self._events_total = self.registry.counter("events_total")
         # Per-kind counters (``events.<kind>`` plus its ``_COUNTED_AS`` name),
         # created on the kind's first event so the report lists only kinds
@@ -348,18 +360,6 @@ class MetricsCollector:
         self._rung_series: list[tuple[float, int, int]] = []
         # Promotion latency: last report time per trial.
         self._last_report: dict[int, float] = {}
-        # Queue wait + utilisation: per-worker bookkeeping.
-        self._worker_free_at: dict[int, float] = {}
-        self._worker_busy: dict[int, float] = {}
-        self._busy_total = 0.0
-        # Attempts started and not ended yet: job id -> (worker, start, credit).
-        self._open: dict[int, tuple[int, float, float]] = {}
-        # Cumulative busy time after each credit, as packed columns: one
-        # point per job for as long as the collector lives.
-        self._busy_times = array("d")
-        self._busy_totals = array("d")
-        self._elapsed: float | None = None
-        self._num_workers: int | None = None
 
     # ---------------------------------------------------------------- sink
 
@@ -377,6 +377,7 @@ class MetricsCollector:
         handler = self._HANDLERS.get(kind)
         if handler is not None:
             handler(self, event)
+        self.builder.write(event)
 
     def flush(self) -> None:
         pass
@@ -385,20 +386,6 @@ class MetricsCollector:
         pass
 
     # ------------------------------------------------------------ handlers
-
-    def _on_job_started(self, event: TelemetryEvent) -> None:
-        worker = event.worker_id
-        if worker is not None:
-            freed = self._worker_free_at.pop(worker, None)
-            if freed is not None:
-                self.registry.histogram("queue_wait").observe(max(event.time - freed, 0.0))
-            # Busy time is credited at dispatch — the simulator's whole
-            # duration, the wall clock's zero — and settled at the end.
-            credit = event.data.get("busy_credit")
-            if credit is not None:
-                self._credit_busy(worker, float(credit), event.time)
-                if event.job_id is not None:
-                    self._open[event.job_id] = (worker, event.time, float(credit))
 
     def _on_report(self, event: TelemetryEvent) -> None:
         if event.trial_id is not None:
@@ -410,31 +397,6 @@ class MetricsCollector:
                 occupancy = len(members)
                 self.registry.gauge(f"rung_occupancy.{event.rung}").set(occupancy)
                 self._rung_series.append((event.time, event.rung, occupancy))
-        self._on_job_end(event)
-
-    def _on_failure(self, event: TelemetryEvent) -> None:
-        lost = event.data.get("lost")
-        opened = self._open.get(event.job_id)
-        if lost is None and opened is not None:
-            # Only a retry policy puts ``lost`` on the event; the attempt
-            # lost its dispatch credit as settled by its correction.
-            lost = opened[2] + float(event.data.get("busy_correction", 0.0))
-        if lost is not None:
-            self.registry.counter("time_lost_to_failures").inc(max(float(lost), 0.0))
-        self._on_job_end(event)
-
-    def _on_job_end(self, event: TelemetryEvent) -> None:
-        self._open.pop(event.job_id, None)
-        worker = event.worker_id
-        if worker is None:
-            return
-        self._worker_free_at[worker] = event.time
-        # The difference between the time the attempt really worked and its
-        # dispatch credit: negative for a simulated kill, the whole duration
-        # for a wall-clock attempt.
-        correction = event.data.get("busy_correction")
-        if correction is not None:
-            self._credit_busy(worker, float(correction), event.time)
 
     def _on_promotion(self, event: TelemetryEvent) -> None:
         if event.trial_id is not None:
@@ -464,71 +426,75 @@ class MetricsCollector:
 
     #: What each kind feeds beyond its counts.
     _HANDLERS = {
-        EventKind.JOB_STARTED: _on_job_started,
         EventKind.REPORT: _on_report,
-        EventKind.JOB_FAILED: _on_failure,
-        EventKind.JOB_TIMEOUT: _on_failure,
         EventKind.PROMOTION: _on_promotion,
         EventKind.TRIAL_STARTED: _on_trial_started,
     }
-
-    def _credit_busy(self, worker: int, amount: float, time: float) -> None:
-        self._worker_busy[worker] = self._worker_busy.get(worker, 0.0) + amount
-        self._busy_total += amount
-        self._busy_times.append(time)
-        self._busy_totals.append(self._busy_total)
 
     # ------------------------------------------------------------- results
 
     def finalize(self, *, elapsed: float, num_workers: int) -> None:
         """Record run extent so utilisation fractions are well-defined.
 
-        An attempt still running when the run stopped worked until then,
-        which settles its dispatch credit the way ``SimRun.finish`` does.
+        An attempt still running when the run stopped worked until then.
         """
-        self._elapsed = elapsed
-        self._num_workers = num_workers
-        for worker, started, credit in self._open.values():
-            correction = max(elapsed - started, 0.0) - credit
-            if correction:
-                self._credit_busy(worker, correction, elapsed)
-        self._open.clear()
+        self.builder.finalize(elapsed=elapsed, num_workers=num_workers)
 
     def rung_occupancy(self) -> dict[int, int]:
         return {rung: len(members) for rung, members in sorted(self._rung_members.items())}
 
     def worker_utilization(self, elapsed: float | None = None) -> dict[int, float]:
-        """Busy fraction per worker (requires ``finalize`` or ``elapsed``)."""
-        horizon = elapsed if elapsed is not None else self._elapsed
-        if horizon is None or horizon <= 0:
-            return {w: 0.0 for w in self._worker_busy}
+        """Busy fraction per worker that ran an attempt, over ``elapsed`` or the horizon."""
+        trace = self.builder.build()
+        horizon = trace.elapsed if elapsed is None else elapsed
+        worked = {span.worker_id for span in self.builder.attempts}
         return {
-            w: min(busy / horizon, 1.0) for w, busy in sorted(self._worker_busy.items())
+            w: min(timeline.busy_time / horizon, 1.0) if horizon > 0 else 0.0
+            for w, timeline in trace.workers.items()
+            if w in worked
         }
 
     def report(self) -> MetricsReport:
-        """Snapshot everything into a :class:`MetricsReport`."""
-        elapsed = self._elapsed if self._elapsed is not None else 0.0
-        num_workers = self._num_workers if self._num_workers is not None else len(
-            self._worker_busy
-        )
+        """Snapshot everything into a :class:`MetricsReport`.
+
+        Before ``finalize``, the stream so far: its horizon is the last event's time.
+        """
+        trace = self.builder.build()
+        elapsed, num_workers = trace.elapsed, trace.num_workers
         snap = self.registry.snapshot()
-        started = snap["counters"].get("jobs_started", 0.0)
-        failed = snap["counters"].get("jobs_failed", 0.0) + snap["counters"].get(
-            "jobs_timed_out", 0.0
-        )
-        horizon = max(elapsed, 1e-12)
-        cluster_denominator = max(num_workers, 1) * horizon
+        counters, histograms = snap["counters"], snap["histograms"]
+        # Worker time, off the spans: a failed span's duration is time lost,
+        # each dispatch waited from the end of the previous span on its
+        # worker, and the cluster's busy time accrues as spans end.
+        attempts = self.builder.attempts
+        lost = [s.duration for s in attempts if s.outcome not in ("completed", "running")]
+        if lost:
+            counters["time_lost_to_failures"] = math.fsum(lost)
+        worked = [span for span in attempts if span.worker_id is not None]
+        queue_wait = Histogram("queue_wait")
+        previous: dict[int, AttemptSpan] = {}
+        for span in worked:
+            before = previous.get(span.worker_id)
+            if before is not None:
+                queue_wait.observe(max(span.start - before.end, 0.0))
+            previous[span.worker_id] = span
+        if queue_wait.count:
+            histograms["queue_wait"] = queue_wait.summary()
+        denominator = max(num_workers, 1) * max(elapsed, 1e-12)
+        ended = sorted(worked, key=lambda span: span.end)
+        busy = accumulate(span.duration for span in ended)
+        started = counters.get("jobs_started", 0.0)
+        failed = counters.get("jobs_failed", 0.0) + counters.get("jobs_timed_out", 0.0)
         return MetricsReport(
-            counters=snap["counters"],
+            counters=counters,
             gauges=snap["gauges"],
-            histograms=snap["histograms"],
+            histograms=histograms,
             rung_occupancy=self.rung_occupancy(),
             rung_occupancy_series=list(self._rung_series),
             worker_utilization=self.worker_utilization(elapsed),
             utilization_series=[
-                (t, min(total / cluster_denominator, 1.0))
-                for t, total in zip(self._busy_times, self._busy_totals)
+                (span.end, min(total / denominator, 1.0))
+                for span, total in zip(ended, busy)
             ],
             failure_rate=failed / started if started else 0.0,
             elapsed=elapsed,

@@ -168,11 +168,13 @@ def render_summary(collector: MetricsCollector, *, now: float | None = None) -> 
 
     Shows the headline counters, rung occupancy as a bar-per-rung, the
     cluster-busy sparkline, and the promotion-latency/queue-wait summaries.
+    It renders ``collector.report()`` on the stream so far — the derivation
+    the end-of-run report uses — so a frame costs O(attempts so far).
     """
     from ..analysis.ascii_chart import sparkline
 
-    reg = collector.registry
-    counters = reg.counters
+    report = collector.report()
+    counters = report.counters
     lines = []
     header = "telemetry"
     if now is not None:
@@ -187,27 +189,25 @@ def render_summary(collector: MetricsCollector, *, now: float | None = None) -> 
         ("restores", "checkpoint_restores"),
         ("idle polls", "worker_idle_polls"),
     ]
-    parts = [
-        f"{label}={int(counters[key].value)}" for label, key in headline if key in counters
-    ]
+    parts = [f"{label}={int(counters[key])}" for label, key in headline if key in counters]
     if parts:
         lines.append("  " + "  ".join(parts))
 
-    occupancy = collector.rung_occupancy()
+    occupancy = report.rung_occupancy
     if occupancy:
         widest = max(occupancy.values())
         for rung, count in occupancy.items():
             bar = "#" * max(int(count / widest * 40), 1)
             lines.append(f"  rung {rung:>2} |{bar:<40}| {count}")
 
-    series = collector._busy_totals
+    series = [busy for _, busy in report.utilization_series]
     if series:
-        lines.append(f"  busy worker-time {sparkline(series[-60:])} ({series[-1]:g})")
+        busy = sum(report.worker_utilization.values()) * report.elapsed
+        lines.append(f"  busy worker-time {sparkline(series[-60:])} ({busy:g})")
 
     for name in ("promotion_latency", "queue_wait"):
-        hist = reg.histograms.get(name)
-        if hist is not None and hist.count:
-            summary = hist.summary()
+        summary = report.histograms.get(name)
+        if summary is not None and summary["count"]:
             lines.append(
                 f"  {name}: n={summary['count']} mean={summary['mean']:.3g} "
                 f"p50={summary['p50']:.3g} p90={summary['p90']:.3g} max={summary['max']:.3g}"

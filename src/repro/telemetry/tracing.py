@@ -574,17 +574,22 @@ class TraceBuilder:
 
     Call :meth:`build` once the stream is complete.  ``finalize`` (invoked
     by :meth:`TelemetryHub.finalize` like any collector) pins the run
-    horizon so in-flight attempts and trailing idle time are bounded.
+    horizon so in-flight attempts and trailing idle time are bounded.  Each
+    :class:`~repro.telemetry.MetricsCollector` owns one and reports off it.
     """
 
     def __init__(self) -> None:
         self._trials: dict[int, TrialTrace] = {}
+        #: Every dispatch, in dispatch order.
+        self.attempts: list[AttemptSpan] = []
         #: Open attempt per job id (retried jobs reuse their id serially).
         self._open: dict[int, AttemptSpan] = {}
         self._last_time = 0.0
         self._events = 0
         self._elapsed: float | None = None
         self._num_workers: int | None = None
+        #: The last :meth:`build`, reused until the stream or horizon moves.
+        self._built: tuple[tuple[Any, ...], Trace] | None = None
 
     # ------------------------------------------------------------ ingestion
 
@@ -657,6 +662,7 @@ class TraceBuilder:
             checkpoint_resource=event.data.get("checkpoint_resource"),
         )
         self._open[event.job_id] = span
+        self.attempts.append(span)
         self._trial(event.trial_id).attempts.append(span)
 
     def _close(self, event: TelemetryEvent, outcome: str) -> AttemptSpan | None:
@@ -719,18 +725,22 @@ class TraceBuilder:
     # ---------------------------------------------------------------- build
 
     def build(self) -> Trace:
-        """Assemble the immutable :class:`Trace` from everything ingested."""
+        """The :class:`Trace` of everything ingested (the same one until more is).
+
+        Attempts in flight end at the horizon here but stay open for later events.
+        """
+        key = (self._events, self._elapsed, self._num_workers)
+        if self._built is not None and self._built[0] == key:
+            return self._built[1]
         elapsed = self._elapsed if self._elapsed is not None else self._last_time
-        # Close attempts still in flight at the horizon.
         for span in self._open.values():
             span.end = elapsed
             span.outcome = "running"
         # Worker timelines from worker-attributed attempts.
         by_worker: dict[int, list[AttemptSpan]] = {}
-        for trial in self._trials.values():
-            for a in trial.attempts:
-                if a.worker_id is not None and a.end is not None:
-                    by_worker.setdefault(a.worker_id, []).append(a)
+        for a in self.attempts:
+            if a.worker_id is not None:
+                by_worker.setdefault(a.worker_id, []).append(a)
         initial = self._num_workers if self._num_workers is not None else 0
         workers: dict[int, WorkerTimeline] = {}
         worker_ids = set(by_worker) | set(range(initial))
@@ -751,13 +761,15 @@ class TraceBuilder:
             if cursor < elapsed:
                 segments.append(WorkerSegment(cursor, elapsed, "idle"))
             workers[worker_id] = WorkerTimeline(worker_id=worker_id, segments=segments)
-        return Trace(
+        trace = Trace(
             dict(sorted(self._trials.items())),
             workers,
             elapsed=elapsed,
             num_workers=self._num_workers if self._num_workers is not None else len(workers),
             events_consumed=self._events,
         )
+        self._built = (key, trace)
+        return trace
 
 
 def events_from_jsonl(path: str | os.PathLike[str] | IO[str]) -> list[TelemetryEvent]:

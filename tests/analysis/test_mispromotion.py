@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import reference_mispromotion as reference
 from repro.analysis import mispromotion_curve, simulate_mispromotions
 
 
@@ -42,3 +43,13 @@ def test_study_fields():
     assert study.eta == 3
     assert study.sqrt_n == pytest.approx(10.0)
     assert study.std >= 0.0
+
+
+@pytest.mark.parametrize("eta", [2, 3, 4])
+@pytest.mark.parametrize("n", [3, 4, 17, 64, 257])
+def test_the_system_rung_counts_what_the_reference_counts(n, eta):
+    """The count comes from ``core.rung.Rung``; the pre-Rung scan is the oracle."""
+    for seed in range(40):
+        assert simulate_mispromotions(
+            n, eta, np.random.default_rng(seed)
+        ) == reference.simulate_mispromotions(n, eta, np.random.default_rng(seed))

@@ -10,7 +10,10 @@ holds the first four accounts to each other: counts exactly, busy
 worker-time and time lost to 1e-9.  Busy *time* is compared rather than
 utilisation ratios, because under churn the trace's ratio has another
 denominator (a rejoined worker's timeline starts at its first job) by
-design.
+design.  A runtime registry installed around each example is the fifth
+account: its ``backend_retries_total`` equals the results'
+``jobs_retried``.  One example runs the process pool, its objective
+training in worker processes under the cluster's drops.
 
 The regression tests above it pin the bugs the property found: the
 report kept the dispatch credit of attempts still running when a run
@@ -30,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.backend import (
     FailureInjectingObjective,
+    ProcessPoolBackend,
     RetryPolicy,
     SimulatedCluster,
     ThreadPoolBackend,
@@ -39,6 +43,7 @@ from repro.experiments.toys import toy_objective
 from repro.objectives import ptb_lstm
 from repro.study import Study, StudyMultiplexer, read_journal
 from repro.telemetry import MetricsCollector, TelemetryHub
+from repro.telemetry.runtime import install_runtime_registry, uninstall_runtime_registry
 
 #: Registry rows and the kwargs that keep each one small.
 ROWS = {
@@ -193,7 +198,34 @@ def journal_tells(path) -> int:
     backend="threads", row="hyperband", seed=2, workers=2, straggler_std=0.0, drop=0.0,
     churn=0.0, crash=0.0, hang=0.1, policy="retry", stop="time_limit",
 )
+@example(
+    backend="procs", row="asha", seed=3, workers=4, straggler_std=0.5, drop=0.05,
+    churn=0.0, crash=0.0, hang=0.0, policy="retry", stop="time_limit",
+)
 def test_every_account_of_a_run_agrees(
+    tmp_path_factory, backend, row, seed, workers, straggler_std, drop, churn, crash, hang,
+    policy, stop,
+):
+    # The runtime registry is the fifth account: installed before anything
+    # binds its probes, it counts the retries the results count.
+    registry = install_runtime_registry()
+    try:
+        results = run_accounts_example(
+            tmp_path_factory, backend, row, seed, workers, straggler_std, drop, churn, crash,
+            hang, policy, stop,
+        )
+        counters = registry.snapshot()["counters"]
+    finally:
+        uninstall_runtime_registry()
+    retries = sum(
+        value for name, value in counters.items() if name.startswith("backend_retries_total")
+    )
+    assert retries == sum(result.jobs_retried for result in results)
+    if backend == "procs":  # the objective really trained in worker processes
+        assert counters['backend_dispatch_total{backend="processes"}'] > 0
+
+
+def run_accounts_example(
     tmp_path_factory, backend, row, seed, workers, straggler_std, drop, churn, crash, hang,
     policy, stop,
 ):
@@ -218,6 +250,9 @@ def test_every_account_of_a_run_agrees(
             objective, seed=seed + index, crash_probability=crash, hang_probability=hang,
             hang_duration=0.05 if threads else 40.0, real_sleep=threads,
         )
+        if backend == "procs":  # the injector is not process-safe; drops stay
+            assert crash == hang == 0.0
+            flaky = objective
         scheduler = build_scheduler(
             row, objective.space, np.random.default_rng(seed + index), min_resource=1.0,
             max_resource=9.0, eta=3, kwargs=dict(ROWS[row]),
@@ -232,14 +267,15 @@ def test_every_account_of_a_run_agrees(
         study, flaky, _ = runs[0]
         results = [ThreadPoolBackend(workers).run(study, flaky, time_limit=0.5, **options())]
     else:
+        pool = {"n_procs": 2} if backend == "procs" else {}
         clusters = [
-            SimulatedCluster(
+            (ProcessPoolBackend if pool else SimulatedCluster)(
                 workers, straggler_std=straggler_std, drop_probability=drop,
-                churn_rate=churn, churn_downtime=2.0, seed=seed + index,
+                churn_rate=churn, churn_downtime=2.0, seed=seed + index, **pool,
             )
             for index in range(studies)
         ]
-        if backend == "sim":
+        if backend in ("sim", "procs"):
             study, flaky, _ = runs[0]
             results = [clusters[0].run(study, flaky, time_limit=60.0, **options())]
         else:
@@ -250,3 +286,4 @@ def test_every_account_of_a_run_agrees(
     for (study, _, path), result in zip(runs, results):
         study.close()
         assert_accounts_agree(result, journal_tells(path))
+    return results

@@ -527,3 +527,25 @@ class TestTuneAndRunnerIntegration:
             telemetry_out=out,
         )
         assert not out.exists()
+
+
+def test_a_metrics_hub_traces_through_its_collector():
+    """``trace=True`` on a collector's hub adds no sink: one fold, one ``Trace``."""
+    hub = TelemetryHub.with_metrics()
+    result = SimulatedCluster(2, straggler_std=0.3, drop_probability=0.1, seed=4).run(
+        ASHA(toy_space(), np.random.default_rng(4), min_resource=1, max_resource=9, eta=3,
+             max_trials=12),
+        toy_objective(max_resource=9.0),
+        time_limit=40.0,
+        telemetry=hub,
+        trace=True,
+    )
+    assert not any(isinstance(sink, TraceBuilder) for sink in hub.sinks)
+    assert result.failures  # drops put failed spans in the time lost
+    assert result.trace is hub.metrics.builder.build()
+    busy = {w: t.busy_time / result.elapsed for w, t in result.trace.workers.items()}
+    assert result.telemetry.worker_utilization == busy
+    assert result.telemetry.time_lost_to_failures == pytest.approx(math.fsum(
+        a.duration for t in result.trace.trials.values() for a in t.attempts
+        if a.outcome not in ("completed", "running")
+    ), rel=1e-12)

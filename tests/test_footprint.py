@@ -16,7 +16,7 @@ module-level table) measures, deterministically:
     nor (``repro.forkpool``'s inherited table) with the pools opened and closed;
 (d) what ``Study.resume`` holds, on journals of 4k and 16k records: restore's
     peak above what the restored study keeps may grow with the file by its
-    bytes and their text and nothing per record (:data:`RESTORE_EXCESS_PER_BYTE`),
+    text and nothing per record (:data:`RESTORE_EXCESS_PER_BYTE`),
     and a replay-armed study keeps its journal's lines and a small key per
     record, never the decoded records (:data:`REPLAY_CEILING`).
 
@@ -55,10 +55,11 @@ CEILINGS = {"bare": 1503, "observed": 2734, "hosted": 19_682}
 
 #: Restore's transient — peak during ``Study.resume(mode="restore")`` minus
 #: what the restored study retains — may grow by this many bytes per byte
-#: the journal grows: the file's bytes and their ASCII text (measured 2.00),
-#: with room for the one record being decoded.  A reader that returned the
-#: list of decoded records measured 5.98.
-RESTORE_EXCESS_PER_BYTE = 2.2
+#: the journal grows: the file held once, as its ASCII text (measured 1.00),
+#: with room for the one record being decoded.  A reader that kept the bytes
+#: beside their text measured 2.00; one that returned the list of decoded
+#: records, 5.98.
+RESTORE_EXCESS_PER_BYTE = 1.1
 
 #: Bytes a replay-armed study retains per journal record: its line, a
 #: ``(job_id, loss)`` key and its tell's entry.  Measured 417 on CPython
