@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import SimulatedCluster
-from repro.core import ASHA, PBT, SynchronousSHA
+from repro.core import ASHA, PBT, Hyperband, SynchronousSHA
 from repro.core.rung import Rung
 from repro.experiments.toys import toy_objective, toy_space
 
@@ -94,6 +96,51 @@ def test_sha_bracket_job_count_closed_form(seed, eta, s_max):
     result = SimulatedCluster(3, seed=seed).run(sha, objective, time_limit=1e9)
     expected = sum(n // eta**i for i in range(s_max + 1))
     assert result.jobs_dispatched == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    eta=st.sampled_from([2, 3, 4]),
+    s_max=st.integers(1, 3),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+)
+def test_hyperband_bracket_geometry(seed, eta, s_max, picks):
+    """One Hyperband loop is Li et al.'s: bracket ``s`` samples
+    ``n_s = ceil((s_max+1)/(s_max-s+1) * eta**(s_max-s))`` configurations at
+    resource ``r * eta**s``, climbs to ``R``, and the loop dispatches the sum
+    of the per-bracket SHA closed forms.  Results arrive out of order: the
+    drawn picks choose which in-flight job reports next."""
+    big_r = float(eta**s_max)
+    rng = np.random.default_rng(seed)
+    hb = Hyperband(toy_space(), rng, min_resource=1.0, max_resource=big_r, eta=eta, max_loops=1)
+    jobs, in_flight, step = [], [], 0
+    while not hb.is_done():
+        job = hb.next_job()
+        if job is not None:
+            jobs.append(job)
+            in_flight.append(job)
+            if len(in_flight) < 1 + picks[step % len(picks)] % 4:
+                step += 1
+                continue
+        assert in_flight, "Hyperband blocked with nothing in flight"
+        done = in_flight.pop(picks[step % len(picks)] % len(in_flight))
+        step += 1
+        hb.report(done, float(rng.random()))
+
+    sizes = [
+        math.ceil((s_max + 1) / (s_max - s + 1) * eta ** (s_max - s)) for s in range(s_max + 1)
+    ]
+    base = [job.resource for job in jobs if job.rung == 0]
+    # Brackets run in order s = 0..s_max, each sampling n_s at r * eta**s.
+    assert base == [float(eta**s) for s, n_s in enumerate(sizes) for _ in range(n_s)]
+    assert max(job.resource for job in jobs) == big_r
+    assert sum(1 for job in jobs if job.resource == big_r) == sum(
+        n_s // eta ** (s_max - s) for s, n_s in enumerate(sizes)
+    )
+    assert len(jobs) == sum(
+        n_s // eta**i for s, n_s in enumerate(sizes) for i in range(s_max - s + 1)
+    )
 
 
 @settings(max_examples=15, deadline=None)
