@@ -125,6 +125,8 @@ class ProcessPoolBackend(SimulatedCluster):
         workers can never be busy, more than cores never helps.
     """
 
+    probes_as = ("retries", "processes")
+
     def __init__(self, num_workers: int, *, n_procs: int | None = None, **kwargs: Any):
         super().__init__(num_workers, **kwargs)
         if n_procs is not None and n_procs < 1:

@@ -110,8 +110,6 @@ class SimRun:
 
     #: The :class:`RetryPolicy` deadline fields this clock honours and refuses.
     deadline_fields = ("timeout_factor", "timeout")
-    #: Runtime probe bundle and ``backend`` label the run's retries count in.
-    probes_as = ("retries", "simulation")
 
     def __init__(
         self,
@@ -169,12 +167,6 @@ class SimRun:
         if telemetry is not None or trace:
             study.attach_telemetry(hub)
         self.hub = self.store.telemetry = hub
-        # Each measurement logs the scheduler's ``completed_brackets`` (a
-        # method on SynchronousSHA, an attribute on Hyperband, else absent).
-        counter = getattr(study.scheduler, "completed_brackets", None)
-        if counter is not None and not callable(counter):
-            counter = partial(getattr, study.scheduler, "completed_brackets")
-        self.bracket_snapshot = counter
         # A snapshot-restored study arrives with trials already trained;
         # give their checkpoints lazy placeholders (no-op for fresh runs).
         self.store.seed_from_trials(self.study.trials)
@@ -216,7 +208,8 @@ class SimRun:
         self.tick_box: list[int] | None = None
         self.last_dispatch_tick = 0
         # None unless a runtime registry is installed (repro.telemetry.runtime).
-        self.retry_probes = runtime.probes(self.probes_as[0], backend=self.probes_as[1])
+        bundle, backend = cluster.probes_as
+        self.retry_probes = runtime.probes(bundle, backend=backend)
 
     # --------------------------------------------------------- event wiring
 
@@ -495,8 +488,7 @@ class SimRun:
         result.measurements.append(
             Measurement(trial_id=job.trial_id, resource=job.resource, loss=loss, time=time)
         )
-        snapshot = self.bracket_snapshot
-        result.bracket_snapshots.append(None if snapshot is None else snapshot())
+        result.bracket_snapshots.append(study.scheduler.completed_brackets)
         if self.done_resource is not None and job.resource >= self.done_resource:
             result.completions.append((time, job.trial_id))
         if self.hub:
@@ -744,6 +736,9 @@ class SimulatedCluster:
         separate from the scheduler's RNG so the same search can be replayed
         under different failure conditions.
     """
+
+    #: Runtime probe bundle and ``backend`` label its runs' retries count in.
+    probes_as = ("retries", "simulation")
 
     def __init__(
         self,

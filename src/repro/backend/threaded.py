@@ -115,7 +115,6 @@ class _WallClockRun(SimRun):
     """A :class:`SimRun` whose attempts train on threads and end when they return."""
 
     deadline_fields = ("timeout", "timeout_factor")
-    probes_as = ("backend", "threads")
 
     def __init__(self, cluster: "ThreadPoolBackend", *args: Any, **kwargs: Any):
         super().__init__(cluster, *args, **kwargs)
@@ -191,6 +190,8 @@ class ThreadPoolBackend(SimulatedCluster):
         training before returning with them running (they are daemons).
         Their results are discarded, as past the end of a simulated run.
     """
+
+    probes_as = ("backend", "threads")
 
     def __init__(self, num_workers: int, shutdown_grace: float = 5.0):
         super().__init__(num_workers)

@@ -7,7 +7,8 @@ implements that foil faithfully so the latency comparison can actually be
 run: each completed bracket is followed by a fresh bracket whose maximum
 resource is ``eta`` times larger (so budgets double in the ``eta = 2``
 case that names the trick), with ``n`` scaled to keep Algorithm 1's
-``n >= eta**s_max`` requirement satisfied.
+``n >= eta**s_max`` requirement satisfied.  It is
+:class:`~repro.core.sha.SynchronousSHA` with that bracket plan.
 
 The consequence the paper calls out is measurable here: the interval
 between outputs doubles from bracket to bracket, whereas infinite-horizon
@@ -21,14 +22,12 @@ import numpy as np
 
 from ..searchspace import SearchSpace
 from .bracket import Bracket
-from .scheduler import Scheduler
-from .sha import SynchronousSHA
-from .types import Job
+from .sha import SynchronousSHA, _BracketRun
 
 __all__ = ["DoublingSHA"]
 
 
-class DoublingSHA(Scheduler):
+class DoublingSHA(SynchronousSHA):
     """Synchronous SHA with geometrically growing maximum resource.
 
     Parameters
@@ -57,92 +56,32 @@ class DoublingSHA(Scheduler):
         n: int | None = None,
         max_brackets: int | None = None,
     ):
-        super().__init__(space, rng)
-        if initial_max_resource < min_resource:
-            raise ValueError("initial_max_resource must be >= min_resource")
-        probe = Bracket(min_resource, initial_max_resource, eta, 0)
-        min_n = eta**probe.s_max
-        self.min_resource = min_resource
-        self.initial_max_resource = initial_max_resource
-        self.eta = eta
-        self.initial_n = n if n is not None else min_n
-        if self.initial_n < min_n:
-            raise ValueError(f"n must be >= eta**s_max = {min_n}")
+        if n is None:
+            n = eta ** Bracket(min_resource, initial_max_resource, eta, 0).s_max
+        super().__init__(
+            space, rng, n=n, min_resource=min_resource, max_resource=initial_max_resource, eta=eta
+        )
         self.max_brackets = max_brackets
-        self.bracket_index = 0
         #: (bracket index, winner trial id, resource) per completed bracket —
         #: the "outputs" whose inter-arrival interval doubles.
         self.outputs: list[tuple[int, int, float]] = []
-        self._current: SynchronousSHA | None = None
 
-    # ----------------------------------------------------------------- API
+    def _bracket(self, k: int) -> tuple[int, float, int] | None:
+        if self.max_brackets is not None and k >= self.max_brackets:
+            return None
+        return self.n * self.eta**k, self.max_resource * self.eta**k, 0
 
-    def next_job(self) -> Job | None:
-        if self._current is None:
-            if self.max_brackets is not None and self.bracket_index >= self.max_brackets:
-                return None
-            self._current = self._make_bracket()
-        job = self._current.next_job()
-        if job is None and self._current.is_done():
-            self._finish_bracket()
-            return self.next_job()
-        return job
-
-    def report(self, job: Job, loss: float) -> None:
-        assert self._current is not None
-        self._current.report(job, loss)
-        if self._current.is_done():
-            self._finish_bracket()
-
-    def on_job_failed(self, job: Job) -> None:
-        assert self._current is not None
-        self._current.on_job_failed(job)
-        if self._current.is_done():
-            self._finish_bracket()
-
-    def on_trial_abandoned(self, job: Job) -> None:
-        assert self._current is not None
-        self._current.on_trial_abandoned(job)
-        if self._current.is_done():
-            self._finish_bracket()
-
-    def is_done(self) -> bool:
-        return (
-            self.max_brackets is not None
-            and self.bracket_index >= self.max_brackets
-            and self._current is None
-        )
-
-    # ------------------------------------------------------------- helpers
-
-    def current_max_resource(self) -> float:
-        """``R`` of the bracket currently running (or next to run)."""
-        return self.initial_max_resource * self.eta**self.bracket_index
-
-    def _make_bracket(self) -> SynchronousSHA:
-        sha = SynchronousSHA(
-            self.space,
-            self.rng,
-            n=self.initial_n * self.eta**self.bracket_index,
-            min_resource=self.min_resource,
-            max_resource=self.current_max_resource(),
-            eta=self.eta,
-            grow_brackets=False,
-        )
-        sha.trials = self.trials
-        sha._trial_ids = self._trial_ids
-        sha._job_ids = self._job_ids
-        return sha
-
-    def _finish_bracket(self) -> None:
-        assert self._current is not None
-        top = self._current.runs[0].bracket.rung(
-            self._current.runs[0].bracket.top_rung_index
-        )
-        winner = top.best()
+    def _bracket_closed(self, run: _BracketRun) -> None:
+        super()._bracket_closed(run)
+        winner = run.bracket.rung(run.bracket.top_rung_index).best()
         if winner is not None:
             self.outputs.append(
-                (self.bracket_index, winner[0], self.current_max_resource())
+                (self.brackets_started - 1, winner[0], run.bracket.max_resource)
             )
-        self._current = None
-        self.bracket_index += 1
+
+    def _state_extra(self) -> dict:
+        return {**super()._state_extra(), "outputs": [list(out) for out in self.outputs]}
+
+    def _load_extra(self, extra: dict) -> None:
+        super()._load_extra(extra)
+        self.outputs = [(int(k), int(tid), float(r)) for k, tid, r in extra["outputs"]]

@@ -66,11 +66,15 @@ class Scheduler(ABC):
         #: emission site costs one branch when telemetry is off.
         self.telemetry: Any = NULL_HUB
 
+    #: Synchronous brackets closed so far, read after every report for the
+    #: "by bracket" incumbent accounting; ``None`` where brackets never close.
+    completed_brackets: int | None = None
+
     def attach_telemetry(self, hub) -> "Scheduler":
         """Attach a :class:`~repro.telemetry.TelemetryHub` and return ``self``.
 
-        Composite schedulers (Hyperband's inner SHA brackets, AsyncHyperband's
-        inner ASHA ladders) override this to propagate the hub to their parts.
+        Composite schedulers (AsyncHyperband's inner ASHA ladders) override
+        this to propagate the hub to their parts.
         """
         self.telemetry = hub
         return self
@@ -182,7 +186,7 @@ class Scheduler(ABC):
         """Restore :meth:`state_dict` output into this (fresh) scheduler.
 
         The trial table is mutated in place rather than rebound — composite
-        schedulers (Hyperband) alias it across inner brackets.
+        schedulers (AsyncHyperband) alias it across inner ladders.
         """
         expected = state["type"]
         if expected != type(self).__name__:

@@ -12,6 +12,20 @@ rung are trained in parallel, and **a new bracket is started whenever no job
 is available in existing brackets** (``grow_brackets=True``).  With one
 worker and ``grow_brackets=False`` this degrades exactly to sequential SHA.
 
+One class runs every synchronous baseline; they differ only in their bracket
+*plan*, :meth:`SynchronousSHA._bracket`, which gives bracket ``k``'s
+``(n, max_resource, early_stopping_rate)`` or ``None`` once the plan is over:
+
+* :class:`SynchronousSHA` — the same bracket, once, or again whenever
+  ``grow_brackets`` finds every bracket blocked or done;
+* :class:`~repro.core.hyperband.Hyperband` — ``s = 0..s_max`` cycled at a
+  fixed ``R``, each bracket sized by the budget-balancing rule;
+* :class:`~repro.core.doubling.DoublingSHA` — the doubling trick: bracket
+  ``k`` multiplies ``n`` and ``R`` by ``eta**k``.
+
+A growing plan keeps every bracket it started; a sequential one starts the
+next bracket only once the current one is done, and keeps only that one.
+
 Configurations are sampled lazily, one at a time, as base-rung jobs are
 dispatched.  This is observationally identical to sampling ``n`` up front
 (line 4 of Algorithm 1) for random sampling, and it is what lets BOHB be
@@ -63,20 +77,10 @@ class _BracketRun:
         if self.pending or self.outstanding or self.done:
             return
         rung = self.bracket.rung(self.rung_index)
+        survivors = []
+        if self.rung_index < self.bracket.top_rung_index:
+            survivors = rung.top_k(min(self.survivors_target(), len(rung)))
         telemetry = self.owner.telemetry
-        if self.rung_index == self.bracket.top_rung_index:
-            self.done = True
-            if telemetry:
-                telemetry.emit(
-                    EventKind.RUNG_COMPLETED,
-                    rung=self.rung_index,
-                    bracket=self.index,
-                    size=len(rung),
-                    promoted=0,
-                )
-            return
-        k = min(self.survivors_target(), len(rung))
-        survivors = rung.top_k(k)
         if telemetry:
             telemetry.emit(
                 EventKind.RUNG_COMPLETED,
@@ -86,8 +90,9 @@ class _BracketRun:
                 promoted=len(survivors),
             )
         if not survivors:
-            # Every job in the rung was dropped; nothing can advance.
+            # The top rung closed, or every job in the rung was dropped.
             self.done = True
+            self.owner._bracket_closed(self)
             return
         for trial_id in survivors:
             rung.mark_promoted(trial_id)
@@ -159,20 +164,22 @@ class SynchronousSHA(Scheduler):
         self.grow_brackets = grow_brackets
         self.from_checkpoint = from_checkpoint
         self.runs: list[_BracketRun] = []
-        self._run_of_trial: dict[int, _BracketRun] = {}
+        #: Brackets the plan has started, and closed (the analysis layer's
+        #: "by bracket" incumbent accounting reads the latter per report).
+        self.brackets_started = 0
+        self.completed_brackets = 0
 
     # ----------------------------------------------------------------- API
 
     def next_job(self) -> Job | None:
         job = self._dispatch_from_existing()
-        if job is not None:
+        if job is not None or self.searcher_exhausted():
             return job
-        if self.searcher_exhausted():
-            return None
-        if not self.runs or (self.grow_brackets and all(r.blocked or r.done for r in self.runs)):
-            if self.runs and all(r.done for r in self.runs) and not self.grow_brackets:
-                return None
-            self._start_run()
+        if self.grow_brackets:
+            may_start = all(r.blocked or r.done for r in self.runs)
+        else:
+            may_start = all(r.done for r in self.runs)
+        if may_start and self._start_run():
             return self._dispatch_from_existing()
         return None
 
@@ -181,7 +188,7 @@ class SynchronousSHA(Scheduler):
         trial = self.trials[job.trial_id]
         if self.searcher is not None:
             self.searcher.on_result(trial, job.resource, loss, rung=job.rung)
-        run = self._run_of_trial[job.trial_id]
+        run = self.runs[job.bracket]
         run.outstanding.discard(job.trial_id)
         run.bracket.record(job.rung, job.trial_id, loss)
         if job.rung == run.bracket.top_rung_index:
@@ -204,21 +211,35 @@ class SynchronousSHA(Scheduler):
         super().on_job_failed(job)
         if self.searcher is not None:
             self.searcher.on_trial_error(self.trials[job.trial_id])
-        run = self._run_of_trial[job.trial_id]
+        run = self.runs[job.bracket]
         run.outstanding.discard(job.trial_id)
         run.maybe_advance()
 
     def is_done(self) -> bool:
-        if not self.runs:
-            return self.searcher_exhausted()
         if not all(r.done for r in self.runs):
             return False
-        return not self.grow_brackets or self.searcher_exhausted()
+        return self.searcher_exhausted() or self._bracket(self.brackets_started) is None
+
+    # ---------------------------------------------------------- the plan
+
+    def _bracket(self, k: int) -> tuple[int, float, int] | None:
+        """Bracket ``k``'s ``(n, max_resource, early_stopping_rate)``; ``None`` ends the plan.
+
+        SHA's plan is its one bracket, repeated while ``grow_brackets``.
+        """
+        if k and not self.grow_brackets:
+            return None
+        return self.n, self.max_resource, self.early_stopping_rate
+
+    def _bracket_closed(self, run: _BracketRun) -> None:
+        """``run`` finished: its top rung closed, or a rung lost every job."""
+        self.completed_brackets += 1
 
     # ------------------------------------------------------------ snapshots
 
     def _state_extra(self) -> dict:
         return {
+            "started": self.brackets_started,
             "runs": [
                 {
                     "rung_index": run.rung_index,
@@ -229,12 +250,16 @@ class SynchronousSHA(Scheduler):
                 }
                 for run in self.runs
             ],
-            "run_of_trial": {str(tid): run.index for tid, run in self._run_of_trial.items()},
         }
 
     def _load_extra(self, extra: dict) -> None:
+        if "runs" not in extra:  # e.g. Hyperband's, when it nested an inner SHA
+            raise ValueError(f"{type(self).__name__} state has no bracket runs")
+        runs = extra["runs"]
+        # Snapshots that predate "started" come from SHA, which keeps every run.
+        self.brackets_started = int(extra.get("started", len(runs))) - len(runs)
         self.runs = []
-        for run_state in extra["runs"]:
+        for run_state in runs:
             self._start_run()
             run = self.runs[-1]
             run.rung_index = int(run_state["rung_index"])
@@ -242,15 +267,25 @@ class SynchronousSHA(Scheduler):
             run.outstanding = {int(tid) for tid in run_state["outstanding"]}
             run.done = bool(run_state["done"])
             run.bracket.load(run_state["bracket"])
-        self._run_of_trial = {
-            int(tid): self.runs[index] for tid, index in extra["run_of_trial"].items()
-        }
+        # Only a done run is ever dropped, so every bracket not held is closed.
+        self.completed_brackets = (
+            self.brackets_started - len(self.runs) + sum(r.done for r in self.runs)
+        )
 
     # ------------------------------------------------------------- helpers
 
-    def _start_run(self) -> None:
-        bracket = Bracket(self.min_resource, self.max_resource, self.eta, self.early_stopping_rate)
-        self.runs.append(_BracketRun(self.n, bracket, self, len(self.runs)))
+    def _start_run(self) -> bool:
+        """Start the plan's next bracket; ``False`` once the plan is over."""
+        geometry = self._bracket(self.brackets_started)
+        if geometry is None:
+            return False
+        n, max_resource, early_stopping_rate = geometry
+        if not self.grow_brackets:
+            self.runs.clear()
+        bracket = Bracket(self.min_resource, max_resource, self.eta, early_stopping_rate)
+        self.runs.append(_BracketRun(n, bracket, self, len(self.runs)))
+        self.brackets_started += 1
+        return True
 
     def _dispatch_from_existing(self) -> Job | None:
         for run_index, run in enumerate(self.runs):
@@ -266,7 +301,6 @@ class SynchronousSHA(Scheduler):
                     continue
                 config, origin = self.propose_config()
                 trial = self.new_trial(config, origin=origin)
-                self._run_of_trial[trial.trial_id] = run
             else:
                 trial = self.trials[entry]
             run.outstanding.add(trial.trial_id)
@@ -280,8 +314,3 @@ class SynchronousSHA(Scheduler):
                 from_checkpoint=self.from_checkpoint,
             )
         return None
-
-    # ------------------------------------------------------------ insight
-
-    def completed_brackets(self) -> int:
-        return sum(1 for r in self.runs if r.done)

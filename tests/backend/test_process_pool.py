@@ -31,6 +31,7 @@ from repro.experiments.toys import toy_objective, toy_space
 from repro.objectives import mlp_real
 from repro.study import StudyMultiplexer
 from repro.telemetry import JSONLSink, TelemetryHub
+from repro.telemetry.runtime import install_runtime_registry, uninstall_runtime_registry
 from repro.tune import FunctionObjective, tune
 
 
@@ -232,6 +233,24 @@ class TestCoHostedPools:
             second.close()
         expected = SimulatedCluster(4, seed=5).run(_asha(), objective, time_limit=60.0)
         assert pickle.dumps(second.finish()) == pickle.dumps(expected)
+
+
+class TestRuntimeProbes:
+    def test_retries_are_labelled_processes(self):
+        """A pool's run counts its re-dispatches with the pool's own series."""
+        registry = install_runtime_registry()
+        try:
+            result, _ = _run(
+                ProcessPoolBackend(4, n_procs=2, drop_probability=0.2, seed=3),
+                retry_policy=RetryPolicy(max_attempts=3, backoff=1.0),
+            )
+            counters = registry.snapshot()["counters"]
+        finally:
+            uninstall_runtime_registry()
+        assert counters['backend_dispatch_total{backend="processes"}'] > 0
+        assert result.jobs_retried > 0
+        assert counters['backend_retries_total{backend="processes"}'] == result.jobs_retried
+        assert 'backend_retries_total{backend="simulation"}' not in counters
 
 
 class TestConstruction:

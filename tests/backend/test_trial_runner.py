@@ -67,19 +67,18 @@ class TestRecordReport:
         assert len(result.bracket_snapshots) == len(result.measurements) == 3
         assert result.bracket_snapshots == [None, None, None]
 
-    def test_bracket_counter_reads_method_and_attribute(self, one_d_space, rng):
-        # ``completed_brackets`` is a method on SynchronousSHA and a plain,
-        # mutated attribute on Hyperband; both are read live at each report.
+    def test_bracket_counter_is_read_at_each_report(self, one_d_space, rng):
+        # ``completed_brackets`` is a mutated int attribute on SynchronousSHA
+        # and on Hyperband; it is read live at each report.
         sha = SynchronousSHA(one_d_space, rng, n=9, min_resource=1.0, max_resource=9.0, eta=3)
         hyperband = Hyperband(
             one_d_space, np.random.default_rng(1), min_resource=1.0, max_resource=9.0, eta=3,
             max_loops=1,
         )
-        for scheduler, final in ((sha, sha.completed_brackets), (hyperband, None)):
+        for scheduler in (sha, hyperband):
             result = self.run(scheduler, measurements=None)
             snapshots = result.bracket_snapshots
             assert len(snapshots) == len(result.measurements)
             assert snapshots[0] == 0
             assert snapshots == sorted(snapshots)
-            last = final() if final is not None else hyperband.completed_brackets
-            assert snapshots[-1] == last >= 1
+            assert snapshots[-1] == scheduler.completed_brackets >= 1

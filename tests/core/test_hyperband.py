@@ -45,8 +45,8 @@ class TestLooping:
             job = hb.next_job()
             if job is None:
                 break
-            if job.rung == 0 and hb._current_s not in seen_brackets:
-                seen_brackets.add(hb._current_s)
+            if job.rung == 0 and hb.brackets_started not in seen_brackets:
+                seen_brackets.add(hb.brackets_started)
                 base_resources.append(job.resource)
             hb.report(job, job.config["quality"])
         assert base_resources == [1.0, 3.0, 9.0]

@@ -104,7 +104,7 @@ class TestGrowBrackets:
         sha = make_sha(one_d_space, rng, grow_brackets=True)
         SimulatedCluster(3, seed=0).run(sha, toy_obj, time_limit=100.0)
         assert not sha.is_done()
-        assert sha.completed_brackets() >= 1
+        assert sha.completed_brackets >= 1
 
 
 class TestEarlyStoppingRate:

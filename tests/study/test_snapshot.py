@@ -93,6 +93,41 @@ def test_snapshot_restore_continues_identically(case):
     assert restored_tail == original_tail
 
 
+@pytest.mark.parametrize("steps, s", [(7, 0), (16, 1), (20, 2)])
+def test_hyperband_snapshots_mid_bracket_in_every_s(steps, s):
+    """One loop over s = 0, 1, 2 (13, 6 and 3 jobs): a snapshot inside each
+    bracket restores to the same state and hands out the same jobs."""
+    objective = toy_objective()
+    study, store = make_study("hyperband"), CheckpointStore()
+    for _ in range(steps):
+        step(study, store, objective)
+    (run,) = study.scheduler.runs
+    assert run.bracket.s == s and len(run.bracket.rung(0)) and not run.done
+
+    snapshot = json.loads(json.dumps(study.snapshot()))
+    restored = Study.restore(snapshot, scheduler=make_study("hyperband").scheduler)
+    assert restored.scheduler.state_dict() == study.scheduler.state_dict()
+    restored_store = CheckpointStore()
+    restored_store.seed_from_trials(restored.trials)
+    tails = [
+        [step(driven, st, objective) for _ in range(22 - steps)]
+        for driven, st in ((study, store), (restored, restored_store))
+    ]
+    assert None not in tails[0] and tails[1] == tails[0]
+    assert study.scheduler.is_done() and restored.scheduler.is_done()
+
+
+def test_hyperband_snapshot_from_before_plans_is_refused():
+    """Hyperband state whose brackets were a nested SHA's is not misread."""
+    study = make_study("hyperband")
+    legacy = study.snapshot()
+    legacy["scheduler"]["extra"] = {
+        "completed_brackets": 0, "current_s": 0, "loops": 0, "current": None,
+    }
+    with pytest.raises(ValueError, match="has no bracket runs"):
+        Study.restore(legacy, scheduler=make_study("hyperband").scheduler)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_snapshot_preserves_trial_table_and_best(case):
     objective = toy_objective()
