@@ -115,19 +115,14 @@ def test_emits_every_trial_rung_and_promotion(one_d_space):
     sink = InMemorySink()
     sha = make_doubling(one_d_space)
     objective = toy_objective(max_resource=1e9, constant=False)
-    SimulatedCluster(2, seed=0).run(
-        sha, objective, time_limit=1e9, telemetry=TelemetryHub([sink])
-    )
+    SimulatedCluster(2, seed=0).run(sha, objective, time_limit=1e9, telemetry=TelemetryHub([sink]))
     kinds = Counter(event.kind for event in sink.events)
     # Bracket k samples 4 * 2**k configurations over k + 3 rungs.
     assert kinds[EventKind.TRIAL_STARTED] == sha.num_trials == 4 + 8 + 16
     assert kinds[EventKind.RUNG_COMPLETED] == 3 + 4 + 5
-    promoted_jobs = [
-        e for e in sink.events if e.kind is EventKind.JOB_STARTED and e.rung > 0
-    ]
-    assert kinds[EventKind.PROMOTION] == len(promoted_jobs) == (2 + 1) + (4 + 2 + 1) + (
-        8 + 4 + 2 + 1
-    )
+    promoted_jobs = [e for e in sink.events if e.kind is EventKind.JOB_STARTED and e.rung > 0]
+    promotions = (2 + 1) + (4 + 2 + 1) + (8 + 4 + 2 + 1)
+    assert kinds[EventKind.PROMOTION] == len(promoted_jobs) == promotions
 
 
 @pytest.mark.parametrize("steps, bracket", [(3, 0), (10, 1), (30, 2)])
