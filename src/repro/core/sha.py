@@ -122,7 +122,8 @@ class SynchronousSHA(Scheduler):
     grow_brackets:
         If true, start a new bracket whenever no job is available in existing
         brackets (the paper's "synchronous SHA" in distributed settings).  If
-        false, run exactly one bracket and finish.
+        false, start the next bracket only once the current one is done: SHA
+        runs exactly one bracket and finishes.
     from_checkpoint:
         Whether promoted configurations resume from their checkpoint (pay the
         resource increment) or retrain from scratch.

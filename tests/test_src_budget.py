@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``src_lines`` once Hyperband and DoublingSHA became SynchronousSHA's
 #: bracket plans instead of wrappers around a private SynchronousSHA.
-CEILING = 15_148
+CEILING = 15_149
 
 
 def src_lines() -> int:
