@@ -70,25 +70,31 @@ class _Attempt:
     A retried job is re-issued verbatim under its job id, so the attempt,
     not the id, tells one dispatch from the next.  ``index`` is its slot in
     :attr:`SimRun.live` while it runs and ``-1`` once it has ended, which is
-    what makes an event still carrying it stale.
+    what makes an event still carrying it stale.  ``planned`` is how long it
+    runs unless killed, ``inf`` until the clock knows: the simulator's
+    :meth:`SimRun._start` draws it, a wall clock learns it when the thread
+    returns.
     """
 
-    __slots__ = ("job", "worker", "started", "credit", "index")
+    __slots__ = ("job", "worker", "started", "planned", "index")
 
     def __init__(self, job: Job, worker: int, started: float, index: int) -> None:
         self.job = job
         self.worker = worker
         self.started = started
-        #: Busy time credited at dispatch; see :meth:`SimRun._start`.
-        self.credit = 0.0
+        self.planned = math.inf
         self.index = index
+
+    def worked(self, until: float) -> float:
+        """Busy time spent by ``until``: never more than its planned duration."""
+        return min(max(until - self.started, 0.0), self.planned)
 
 
 class SimRun:
     """One study's complete event-loop state, steppable from outside.
 
     All the bookkeeping :meth:`SimulatedCluster.run` historically kept in
-    closures — free workers, in-flight dispatches, busy-time credits, fault
+    closures — free workers, in-flight dispatches, worked time, fault
     routing — lives here, so a driver can interleave *many* runs over one
     shared :class:`~repro.backend.events.EventQueue`.  Every event a run
     pushes carries ``(run, payload)``; :func:`drive_runs` peeks the owner
@@ -104,7 +110,7 @@ class SimRun:
     a driver can round-robin fills across runs (the multiplexer's
     fair-share knob); ``None`` fills every free worker in one round, the
     solo behaviour.  What depends on the clock is a hook (:meth:`_start`,
-    :meth:`_settle`, :meth:`_release`), which is all the wall-clock
+    :meth:`_release`), which is all the wall-clock
     :class:`~repro.backend.threaded.ThreadPoolBackend` overrides.
     """
 
@@ -237,10 +243,8 @@ class SimRun:
         attempt = _Attempt(job, worker, self.clock, len(live))
         live.append(attempt)
         self.store.prepare(job)  # snapshot donor state for inheriting jobs
-        credit = attempt.credit = self._start(attempt)
-        self.busy_time += credit
+        self._start(attempt)
         if self.hub:
-            # Nothing reads ``busy_credit``/``busy_correction``; golden traces pin them.
             extra = {"attempt": number} if number > 1 else {}
             self.hub.emit(
                 EventKind.JOB_STARTED,
@@ -251,24 +255,21 @@ class SimRun:
                 bracket=job.bracket,
                 resource=job.resource,
                 checkpoint_resource=job.checkpoint_resource,
-                busy_credit=credit,
                 **extra,
             )
 
-    def _start(self, attempt: _Attempt) -> float:
-        """Put ``attempt``'s end on the calendar; returns the busy time credited.
-
-        The known duration is credited up front, capped at the remaining
-        budget; :meth:`_end` and :meth:`finish` roll back what it did not spend.
-        """
+    def _start(self, attempt: _Attempt) -> None:
+        """Plan ``attempt``'s duration and put its end on the calendar."""
         cluster = self.cluster
         store = self.store
         job = attempt.job
         duration = cluster._duration(store.job_cost(job, self.objective))
         drop_at = cluster._drop_time(duration)
         if drop_at is not None:
+            attempt.planned = drop_at
             self._push(self.clock + drop_at, "drop", attempt)
         else:
+            attempt.planned = duration
             self._push(self.clock + duration, "complete", attempt)
         if self.retry_policy is not None:
             deadline = self.retry_policy.sim_deadline(
@@ -280,11 +281,6 @@ class SimRun:
         # training (the pool would otherwise fork for nothing).
         if self.pool is not None and not self.study.has_cached_loss(job.job_id):
             self.pool.prefetch(job, *store.starting_state(job, self.objective, peek=True))
-        return min(duration if drop_at is None else drop_at, max(self.time_limit - self.clock, 0.0))
-
-    def _settle(self, attempt: _Attempt) -> float:  # noqa: ARG002
-        """Busy time owed beyond its credit to ``attempt`` ending now: none, it was exact."""
-        return 0.0
 
     def _release(self, worker: int) -> None:
         """A timed-out attempt's ``worker`` may take the next job now."""
@@ -343,17 +339,10 @@ class SimRun:
 
     # ------------------------------------------------------------ teardown
 
-    def _worked(self, attempt: _Attempt, until: float) -> float:
-        """Busy time ``attempt`` spent by ``until``: never more than finishing would."""
-        started = attempt.started
-        return min(max(until - started, 0.0), attempt.credit + self._settle(attempt))
-
     def _end(self, attempt: _Attempt, until: float = math.inf) -> float:
         """Retire ``attempt``, which worked until ``until`` (its end, by default).
 
-        Returns the busy time it really spent.  That minus its dispatch
-        credit is the correction settling the credit: negative for a kill,
-        the whole duration for a wall-clock attempt, zero otherwise.
+        Returns the busy time it spent, which the run's ``busy_time`` adds up.
         """
         live = self.live
         last = live.pop()
@@ -361,8 +350,8 @@ class SimRun:
             live[attempt.index] = last
             last.index = attempt.index
         attempt.index = -1
-        worked = self._worked(attempt, until)
-        self.busy_time += worked - attempt.credit
+        worked = attempt.worked(until)
+        self.busy_time += worked
         return worked
 
     def kill(self, attempt: _Attempt, reason: str) -> None:
@@ -415,9 +404,6 @@ class SimRun:
             )
         )
         if hub:
-            correction = lost - attempt.credit
-            if correction:
-                payload["busy_correction"] = correction
             hub.emit(
                 EventKind.JOB_TIMEOUT if reason == "timeout" else EventKind.JOB_FAILED,
                 trial_id=job.trial_id,
@@ -492,7 +478,6 @@ class SimRun:
         if self.done_resource is not None and job.resource >= self.done_resource:
             result.completions.append((time, job.trial_id))
         if self.hub:
-            correction = worked - attempt.credit
             self.hub.emit(
                 EventKind.REPORT,
                 trial_id=job.trial_id,
@@ -502,7 +487,6 @@ class SimRun:
                 bracket=job.bracket,
                 loss=loss,
                 resource=job.resource,
-                **({"busy_correction": correction} if correction else {}),
             )
 
     # -------------------------------------------------------------- events
@@ -589,12 +573,10 @@ class SimRun:
         result.elapsed = (
             self.time_limit if self.budget_exhausted else min(self.clock, self.time_limit)
         )
-        # Attempts still running at the end only worked until the stop clock —
-        # roll back the optimistically-credited remainder (a no-op when the
-        # budget ran out, since credits were already capped at time_limit).
+        # Attempts still running at the end worked until the stop clock.
         busy_time = self.busy_time
         for attempt in self.live:
-            busy_time += self._worked(attempt, result.elapsed) - attempt.credit
+            busy_time += attempt.worked(result.elapsed)
         horizon = max(result.elapsed, 1e-12)
         result.utilization = min(
             busy_time / (self.cluster.num_workers * horizon), 1.0

@@ -124,16 +124,13 @@ class _WallClockRun(SimRun):
     def _now(self) -> float:
         return _time.monotonic() - self.origin
 
-    def _start(self, attempt: _Attempt) -> float:
-        # The completion resolves the resume point, as in the simulator.
+    def _start(self, attempt: _Attempt) -> None:
+        # The completion resolves the resume point, as in the simulator; the
+        # duration stays unplanned until the thread returns.
         self.pool.hand(attempt, self.store.resume_point(attempt.job, consume=False))
         timeout = getattr(self.retry_policy, "timeout", None)
         if timeout is not None:
             self._push(self.clock + timeout, "timeout", attempt)
-        return 0.0  # the duration is known only when the thread returns
-
-    def _settle(self, attempt: _Attempt) -> float:
-        return max(self.clock - attempt.started, 0.0) - attempt.credit
 
     def _release(self, worker: int) -> None:
         if worker not in self.pool.training:  # else its thread's return rejoins it
@@ -143,7 +140,8 @@ class _WallClockRun(SimRun):
         """:func:`drive_runs`' hook: block on the threads until ``until`` or the time limit.
 
         A returned attempt becomes a ``complete`` event at the wall time it
-        came back or, if a deadline killed it, a ``rejoin`` of its worker.
+        came back, which plans its duration, or, if a deadline killed it, a
+        ``rejoin`` of its worker.
         With nothing due, the run waits only while a thread can still report
         or free a worker that work waits for; at the time limit it posts an
         event past the budget, which ends the run.
@@ -163,6 +161,7 @@ class _WallClockRun(SimRun):
             now = max(self._now(), self.queue.clock)
             if attempt.index >= 0:
                 pool.returned[attempt.job.job_id] = outcome
+                attempt.planned = now - attempt.started
                 self._push(now, "complete", attempt)
             else:  # a deadline ended it already
                 self._push(now, "rejoin", attempt.worker)

@@ -61,6 +61,10 @@ class ContractChecker(Scheduler):
     def searcher(self) -> Searcher | None:
         return self.inner.searcher
 
+    @property
+    def completed_brackets(self) -> int | None:
+        return self.inner.completed_brackets
+
     def next_job(self) -> Job | None:
         searcher = self.inner.searcher
         if searcher is not None:

@@ -178,6 +178,10 @@ class StoppingWrapper(Scheduler):
         """The wrapped scheduler's searcher (contract-checker visibility)."""
         return self.inner.searcher
 
+    @property
+    def completed_brackets(self) -> int | None:
+        return self.inner.completed_brackets
+
     def next_job(self) -> Job | None:
         return self.inner.next_job()
 

@@ -6,8 +6,9 @@ import numpy as np
 
 from repro.backend import SimulatedCluster
 from repro.backend.trial_runner import BackendResult
-from repro.core import Hyperband, RandomSearch, SynchronousSHA
-from repro.experiments.toys import toy_objective
+from repro.core import ContractChecker, Hyperband, RandomSearch, SynchronousSHA
+from repro.core.stopping import MedianStoppingRule, StoppingWrapper
+from repro.experiments.toys import toy_objective, toy_space
 from repro.study import Study, read_journal
 
 
@@ -82,3 +83,23 @@ class TestRecordReport:
             assert snapshots[0] == 0
             assert snapshots == sorted(snapshots)
             assert snapshots[-1] == scheduler.completed_brackets >= 1
+
+    def test_wrappers_read_the_bracket_counter_through(self):
+        # A wrapper reports the counter of the scheduler it wraps, not the
+        # base class's ``None``.
+        def hyperband():
+            return Hyperband(
+                toy_space(), np.random.default_rng(0), min_resource=1, max_resource=9, eta=3,
+                max_loops=1,
+            )
+
+        def snapshots(scheduler):
+            result = SimulatedCluster(2, seed=0).run(
+                scheduler, toy_objective(max_resource=9.0), time_limit=1e6
+            )
+            return result.bracket_snapshots
+
+        bare = snapshots(hyperband())
+        assert bare[-1] == 3
+        assert snapshots(ContractChecker(hyperband())) == bare
+        assert snapshots(StoppingWrapper(hyperband(), MedianStoppingRule())) == bare

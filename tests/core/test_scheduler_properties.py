@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import SimulatedCluster
-from repro.core import ASHA, PBT, Hyperband, SynchronousSHA
+from repro.core import (
+    ASHA,
+    PBT,
+    AsyncHyperband,
+    Hyperband,
+    ParallelAsyncHyperband,
+    SynchronousSHA,
+)
+from repro.core.bracket import Bracket
+from repro.core.hyperband import hyperband_bracket_sizes
 from repro.core.rung import Rung
 from repro.experiments.toys import toy_objective, toy_space
 
@@ -141,6 +150,59 @@ def test_hyperband_bracket_geometry(seed, eta, s_max, picks):
     assert len(jobs) == sum(
         n_s // eta**i for s, n_s in enumerate(sizes) for i in range(s_max - s + 1)
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    eta=st.sampled_from([2, 3, 4]),
+    brackets=st.integers(1, 3),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+)
+def test_async_hyperband_routing(seed, eta, brackets, picks):
+    """Both asynchronous Hyperbands route by SHA-equivalent budgets.
+
+    Every job of a trial carries the trial's ladder as its ``bracket``.
+    ``AsyncHyperband`` feeds ladders ``s = 0, 1, ...`` in turn and moves on
+    exactly when the current ladder's dispatched ``delta_resource`` reaches
+    ``Bracket.total_budget(n_s)``.  ``ParallelAsyncHyperband`` sends each job
+    to a ladder whose deficit (spent - share x dispatched) is minimal; ties
+    may go to any of the tied ladders.  The ladders are unbounded, so every
+    ladder always has a job to give."""
+    big_r = float(eta**2)
+    sizes = hyperband_bracket_sizes(1.0, big_r, eta)[:brackets]
+    budgets = [Bracket(1.0, big_r, eta, s).total_budget(n_s) for s, n_s in enumerate(sizes)]
+    shares = [budget / sum(budgets) for budget in budgets]
+    for cls in (AsyncHyperband, ParallelAsyncHyperband):
+        rng = np.random.default_rng(seed)
+        hb = cls(toy_space(), rng, min_resource=1.0, max_resource=big_r, eta=eta, brackets=brackets)
+        bracket_of: dict[int, int] = {}
+        spent = [0.0] * brackets  # all-time resource dispatched per ladder
+        current, fed, switches = 0, 0.0, 0  # the looping variant's ladder and its feed
+        in_flight = []
+        for step in range(150):
+            dispatched = sum(spent) + 1e-12
+            deficits = [used - share * dispatched for used, share in zip(spent, shares)]
+            job = hb.next_job()
+            assert job is not None
+            assert bracket_of.setdefault(job.trial_id, job.bracket) == job.bracket
+            if cls is AsyncHyperband:
+                assert job.bracket == current
+                fed += job.delta_resource
+                if fed >= budgets[current]:
+                    current, fed, switches = (current + 1) % brackets, 0.0, switches + 1
+                assert hb.current_bracket == current
+            else:
+                assert deficits[job.bracket] == min(deficits), (deficits, job.bracket)
+            spent[job.bracket] += job.delta_resource
+            in_flight.append(job)
+            pick = picks[step % len(picks)]
+            if pick % 3:
+                hb.report(in_flight.pop(pick % len(in_flight)), float(rng.random()))
+        if cls is AsyncHyperband:
+            assert switches >= brackets  # the loop went round at least once
+        else:
+            assert all(used > 0 for used in spent)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,6 +9,12 @@ same trials in the same order with the same configs, same promotions, same
 simulated clocks, same serialisation.  Any diff here means the refactor
 changed the algorithm under study, not just its plumbing.
 
+The files were rewritten once, mechanically, when ``job_started`` stopped
+carrying ``busy_credit`` and ``report``/``job_failed``/``job_timeout``
+stopped carrying ``busy_correction``: each equals its previous recording
+with those two keys deleted from every line, byte for byte, and nothing
+else moved.
+
 Regenerate the fixtures (ONLY for an intentional behaviour change):
 
     PYTHONPATH=src python tests/integration/test_golden_traces.py
@@ -161,6 +167,7 @@ def test_traces_are_nontrivial():
         golden = (GOLDEN_DIR / f"{name}.jsonl").read_text(encoding="utf-8")
         assert golden.count("\n") > 20, f"{name} trace suspiciously short"
         assert '"kind":"promotion"' in golden or name == "vizier"
+        assert '"busy_' not in golden, f"{name} still carries a busy-time credit"
 
 
 def test_churn_trace_pins_victim_selection():

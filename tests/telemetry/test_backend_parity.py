@@ -4,33 +4,22 @@
 must emit the same trial-lifecycle vocabulary — the same event kinds with
 the same identity fields and payload keys — so downstream consumers
 (metrics aggregation, trace reconstruction) stay backend-agnostic.  The
-clocks legitimately differ only in when they learn a job's busy time; that
-divergence is pinned here as an explicit allowlist (documented in
-``docs/telemetry.md``), so any *new* divergence fails this test instead of
-silently skewing one backend's traces.
+clocks differ in when they learn a job's duration, but no event carries
+busy time any more (a worker's busy time is its trace spans), so there is
+no sanctioned divergence: any payload key one backend adds fails this test
+instead of silently skewing one backend's traces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import RetryPolicy, SimulatedCluster, ThreadPoolBackend
+from repro.backend import ProcessPoolBackend, RetryPolicy, SimulatedCluster, ThreadPoolBackend
 from repro.backend.faults import FailureInjectingObjective
 from repro.core.asha import ASHA
 from repro.experiments.toys import scripted_sampler, toy_objective, toy_space
 from repro.searchers import FunctionSearcher
 from repro.telemetry import InMemorySink, TelemetryHub
-
-#: Payload keys the thread pool may emit that the simulator does not.  The
-#: simulator knows an attempt's duration at dispatch and credits it there
-#: (``busy_credit``), so a completion owes nothing; the wall clock credits
-#: nothing at dispatch and learns the duration only when the thread
-#: returns, so its completions — reports and crashes — carry the
-#: ``busy_correction``.  (Both clocks put it on kills: timeouts, churn.)
-THREADS_ONLY = {
-    "report": {"busy_correction"},
-    "job_failed": {"busy_correction"},
-}
 
 CORE_FIELDS = ("trial_id", "job_id", "worker_id", "rung", "bracket")
 
@@ -53,6 +42,9 @@ def _run(backend_name: str, *, objective=None, retry_policy=None):
     hub = TelemetryHub.with_metrics(memory)
     if backend_name == "sim":
         backend = SimulatedCluster(1, seed=0)
+        limit = 200.0
+    elif backend_name == "procs":
+        backend = ProcessPoolBackend(1, n_procs=2, seed=0)
         limit = 200.0
     else:
         backend = ThreadPoolBackend(1)
@@ -86,8 +78,7 @@ def _assert_keys_match(sim_events, thread_events):
     # happened to emit (``worker_idle`` depends on timing) has no keys to
     # compare.
     for kind in sorted(set(sim_keys) & set(thread_keys)):
-        sim = sim_keys[kind]
-        threads = thread_keys[kind] - THREADS_ONLY.get(kind, set())
+        sim, threads = sim_keys[kind], thread_keys[kind]
         assert sim == threads, f"{kind}: sim payload {sim} != threads payload {threads}"
 
 
@@ -126,15 +117,12 @@ class TestCleanRunParity:
         for kind in set(sim) & set(threads):
             assert sim[kind] == threads[kind], kind
 
-    def test_allowlisted_keys_really_diverge(self):
-        """The allowlist documents reality — prune it if a key disappears."""
-        sim_keys = _payload_keys(self.sim)
-        thread_keys = _payload_keys(self.threads)
-        assert "busy_correction" in thread_keys["report"]
-        assert "busy_correction" not in sim_keys["report"]
-        # Both clocks credit at dispatch; the wall clock's credit is zero.
-        assert "busy_credit" in sim_keys["job_started"]
-        assert "busy_credit" in thread_keys["job_started"]
+    def test_no_backend_emits_busy_time_keys(self):
+        """Busy time is read off spans; no event carries a credit for it."""
+        for events in (self.sim, self.threads, _run("procs")):
+            assert events
+            for event in events:
+                assert not {"busy_credit", "busy_correction"} & set(event.data), event
 
 
 class TestFaultPathParity:

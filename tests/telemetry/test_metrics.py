@@ -122,16 +122,14 @@ class TestMetricsCollector:
         hist = collector.report().histograms["queue_wait"]
         assert (hist["count"], hist["min"], hist["max"]) == (1, 0.75, 0.75)
 
-    def test_busy_credit_and_busy_feed_utilization(self):
+    def test_span_durations_feed_utilization(self):
         hub, collector = _hub()
-        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0, busy_credit=3.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0)
         hub.set_time(3.0)
         hub.emit(EventKind.REPORT, trial_id=0, job_id=0, worker_id=0, loss=0.1)
-        hub.emit(EventKind.JOB_STARTED, trial_id=1, job_id=1, worker_id=1, busy_credit=0.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=1, job_id=1, worker_id=1)
         hub.set_time(5.0)
-        hub.emit(
-            EventKind.REPORT, trial_id=1, job_id=1, worker_id=1, loss=0.2, busy_correction=2.0
-        )
+        hub.emit(EventKind.REPORT, trial_id=1, job_id=1, worker_id=1, loss=0.2)
         collector.finalize(elapsed=10.0, num_workers=2)
         assert collector.worker_utilization() == {0: 0.3, 1: 0.2}
         report = collector.report()
@@ -166,7 +164,7 @@ class TestMetricsCollector:
         memory = InMemorySink()
         live = MetricsCollector()
         hub = TelemetryHub([live, memory], wall_clock=lambda: 0.0)
-        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0, busy_credit=1.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0)
         hub.set_time(1.0)
         hub.emit(EventKind.REPORT, trial_id=0, job_id=0, rung=0, worker_id=0, loss=0.5)
         hub.emit(EventKind.PROMOTION, trial_id=0, rung=1)
@@ -182,11 +180,11 @@ class TestToMarkdown:
     def _report(self):
         hub, collector = _hub()
         hub.emit(EventKind.TRIAL_STARTED, trial_id=0)
-        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0, busy_credit=4.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0)
         hub.set_time(4.0)
         hub.emit(EventKind.REPORT, trial_id=0, job_id=0, rung=0, worker_id=0, loss=0.5)
         hub.emit(EventKind.PROMOTION, trial_id=0, rung=1)
-        hub.emit(EventKind.JOB_STARTED, trial_id=1, job_id=1, worker_id=1, busy_credit=0.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=1, job_id=1, worker_id=1)
         hub.emit(EventKind.JOB_FAILED, trial_id=1, job_id=1, worker_id=1, reason="dropped")
         collector.finalize(elapsed=8.0, num_workers=2)
         return collector.report()

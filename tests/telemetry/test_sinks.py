@@ -129,7 +129,7 @@ class TestLiveSummary:
         collector = MetricsCollector()
         hub = TelemetryHub([collector])
         hub.emit(EventKind.TRIAL_STARTED, trial_id=0)
-        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0, busy_credit=1.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0)
         hub.set_time(1.0)
         hub.emit(EventKind.REPORT, trial_id=0, job_id=0, rung=0, worker_id=0, loss=0.5)
         hub.emit(EventKind.PROMOTION, trial_id=0, rung=1)
@@ -146,7 +146,7 @@ class TestLiveSummaryFinalRender:
     def _finished_run(self, stream):
         hub = TelemetryHub([LiveSummarySink(stream, every=1000)])
         hub.emit(EventKind.TRIAL_STARTED, trial_id=0)
-        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0, busy_credit=1.0)
+        hub.emit(EventKind.JOB_STARTED, trial_id=0, job_id=0, worker_id=0)
         hub.set_time(1.0)
         hub.emit(EventKind.REPORT, trial_id=0, job_id=0, rung=0, worker_id=0, loss=0.5)
         return hub

@@ -65,12 +65,14 @@ class TestThreadedTelemetry:
         # Sequence numbers are unique and ordered despite concurrent emission.
         seqs = [e.seq for e in memory.events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        # Nothing is credited at dispatch; every report settles the busy
-        # time its attempt really took, for the utilisation series.
-        started = [e for e in memory.events if e.kind.value == "job_started"]
-        assert started and all(e.data["busy_credit"] == 0.0 for e in started)
+        # No event carries busy time; each report closes a trace span that
+        # took real seconds, and those spans feed the utilisation series.
+        assert not any(k.startswith("busy_") for e in memory.events for k in e.data)
+        trace = hub.metrics.builder.build()
+        spans = [a for t in trace.trials.values() for a in t.attempts if a.completed]
         reports = [e for e in memory.events if e.kind.value == "report"]
-        assert reports and all(e.data["busy_correction"] > 0.0 for e in reports)
+        assert reports and len(spans) == len(reports)
+        assert all(span.duration > 0.0 for span in spans)
 
     def test_telemetry_off_leaves_result_bare(self):
         result = _tuned(2, None)

@@ -16,9 +16,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: ``src_lines`` once Hyperband and DoublingSHA became SynchronousSHA's
-#: bracket plans instead of wrappers around a private SynchronousSHA.
-CEILING = 15_149
+#: ``src_lines`` once worker time became each attempt's own
+#: ``min(until - start, planned)`` instead of a dispatch credit rolled back.
+CEILING = 15_138
 
 
 def src_lines() -> int:
