@@ -14,6 +14,12 @@ Both horizons from Section 3.3 are supported:
   the number of rungs is fixed;
 * infinite (``max_resource=None``): the rung ladder grows without bound as
   configurations keep being promoted.
+
+A scheduler here is a plan, a gate and a chooser: ASHA's are its brackets
+(one, or one per ``s`` in :mod:`~repro.core.async_hyperband`), the promotion
+:meth:`ASHA._get_job` makes when a worker asks, and ``next_job``, which
+picks the bracket that serves the worker.  Synchronous SHA's gate promotes
+inside ``report`` instead, when a rung closes (:mod:`repro.core.sha`).
 """
 
 from __future__ import annotations
@@ -75,18 +81,23 @@ class ASHA(Scheduler):
         searcher: Searcher | None = None,
     ):
         super().__init__(space, rng, searcher=searcher)
-        self.bracket = Bracket(min_resource, max_resource, eta, early_stopping_rate)
+        #: The rung ladders; a job's ``bracket`` is its index here.
+        self.brackets = [Bracket(min_resource, max_resource, eta, early_stopping_rate)]
         self.from_checkpoint = from_checkpoint
         self.max_trials = max_trials
 
     # ----------------------------------------------------------------- API
 
     def next_job(self) -> Job | None:
-        """Algorithm 2's ``get_job``: promote if possible, else grow rung 0."""
-        promotion = self.bracket.find_promotion()
+        return self._get_job(0)  # the chooser: plain ASHA has one bracket
+
+    def _get_job(self, index: int) -> Job | None:
+        """Algorithm 2's ``get_job`` on bracket ``index``: promote, else grow rung 0."""
+        bracket = self.brackets[index]
+        promotion = bracket.find_promotion()
         if promotion is not None:
             trial_id, target_rung = promotion
-            self.bracket.promote(trial_id, target_rung - 1)
+            bracket.promote(trial_id, target_rung - 1)
             trial = self.trials[trial_id]
             trial.rung = target_rung
             if self.telemetry:
@@ -98,8 +109,9 @@ class ASHA(Scheduler):
                 )
             return self.make_job(
                 trial,
-                self.bracket.rung_resource(target_rung),
+                bracket.rung_resource(target_rung),
                 rung=target_rung,
+                bracket=index,
                 from_checkpoint=self.from_checkpoint,
             )
         if self.max_trials is not None and self.num_trials >= self.max_trials:
@@ -108,16 +120,17 @@ class ASHA(Scheduler):
             return None
         config, origin = self.propose_config()
         trial = self.new_trial(config, origin=origin)
-        return self.make_job(trial, self.bracket.rung_resource(0), rung=0)
+        return self.make_job(trial, bracket.rung_resource(0), rung=0, bracket=index)
 
     def report(self, job: Job, loss: float) -> None:
-        """File the result into the job's rung and pause/complete the trial."""
+        """File the result into the job's bracket and pause/complete the trial."""
         self.note_result(job, loss)
         trial = self.trials[job.trial_id]
         if self.searcher is not None:
             self.searcher.on_result(trial, job.resource, loss, rung=job.rung)
-        self.bracket.record(job.rung, job.trial_id, loss)
-        top = self.bracket.top_rung_index
+        bracket = self.brackets[job.bracket]
+        bracket.record(job.rung, job.trial_id, loss)
+        top = bracket.top_rung_index
         if top is not None and job.rung >= top:
             trial.status = TrialStatus.COMPLETED
             if self.searcher is not None:
@@ -136,7 +149,7 @@ class ASHA(Scheduler):
         re-issues the promotion the next time a worker frees up.
         """
         if job.rung > 0:
-            self.bracket.rung(job.rung - 1).unmark_promoted(job.trial_id)
+            self.brackets[job.bracket].rung(job.rung - 1).unmark_promoted(job.trial_id)
             trial = self.trials[job.trial_id]
             trial.status = TrialStatus.PAUSED
             trial.rung = job.rung - 1
@@ -169,20 +182,20 @@ class ASHA(Scheduler):
         capped = self.max_trials is not None and self.num_trials >= self.max_trials
         if not capped and not self.searcher_exhausted():
             return False
-        if self.bracket.find_promotion() is not None:
+        if any(bracket.find_promotion() is not None for bracket in self.brackets):
             return False
         return not any(t.status == TrialStatus.RUNNING for t in self.trials.values())
 
     # ------------------------------------------------------------ snapshots
 
     def _state_extra(self) -> dict:
-        return {"bracket": self.bracket.state()}
+        return {"bracket": self.brackets[0].state()}
 
     def _load_extra(self, extra: dict) -> None:
-        self.bracket.load(extra["bracket"])
+        self.brackets[0].load(extra["bracket"])
 
     # ------------------------------------------------------------ insight
 
     def rung_sizes(self) -> list[int]:
         """Number of results currently filed in each rung (diagnostics)."""
-        return [len(r) for r in self.bracket.rungs]
+        return [len(r) for r in self.brackets[0].rungs]

@@ -1,16 +1,17 @@
-"""Asynchronous Hyperband: ASHA brackets over every early-stopping rate.
+"""Asynchronous Hyperband: ASHA over one bracket per early-stopping rate.
 
 Section 3.2: "we can asynchronously parallelize Hyperband by either running
 multiple brackets of ASHA or looping through brackets of ASHA sequentially as
 is done in the original Hyperband. We employ the latter looping scheme."
-Both options are here, as two routing rules over one set of ASHA ladders:
+Both options are here, each :class:`~repro.core.asha.ASHA` over the brackets
+``s = 0, 1, ...`` with its own ``next_job`` choosing the bracket:
 
 * :class:`AsyncHyperband` — the looping scheme the paper evaluates.
   Section 4.1 adds the switching rule: brackets are switched "when a budget
   corresponding to a hypothetical bracket of SHA would be depleted."  We
-  track the resource dispatched into the current ASHA bracket and move to
-  the next early-stopping rate once it reaches the total budget a
-  synchronous SHA bracket with ``n_s`` configurations would have consumed.
+  track the resource dispatched into the current bracket and move to the
+  next early-stopping rate once it reaches the total budget a synchronous
+  SHA bracket with ``n_s`` configurations would have consumed.
 * :class:`ParallelAsyncHyperband` — the first option, kept so the two can be
   compared: every bracket runs *concurrently*, and each new job is routed to
   the bracket with the least dispatched resource relative to its
@@ -25,7 +26,6 @@ rung ladders.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -35,20 +35,19 @@ from ..searchspace import SearchSpace
 from .asha import ASHA
 from .bracket import Bracket
 from .hyperband import hyperband_bracket_sizes
-from .scheduler import Scheduler
 from .types import Job
 
 __all__ = ["AsyncHyperband", "ParallelAsyncHyperband"]
 
 
-class _ASHALadders(Scheduler):
-    """One ASHA ladder per early-stopping rate ``s = 0, 1, ...``; no routing.
+class AsyncHyperband(ASHA):
+    """Loop through ASHA brackets ``s = 0, ..., s_max`` by budget depletion.
 
-    Owns everything the two asynchronous Hyperbands share: the ladders (on
-    one trial table and one id space), their SHA-equivalent budgets, hub
-    propagation, and delivery of results and failures to the ladder that
-    dispatched the trial.  Subclasses add :meth:`next_job` — which ladder a
-    free worker is sent to.
+    Switching happens mid-flight: the bracket receiving budget changes as
+    soon as its SHA-equivalent budget has been dispatched, while earlier
+    brackets' jobs are still running.  When the current bracket has no job
+    (the searcher ran out and nothing in it is promotable) the others are
+    asked in loop order; such jobs count toward no bracket's budget.
 
     Parameters
     ----------
@@ -61,8 +60,8 @@ class _ASHALadders(Scheduler):
     from_checkpoint:
         Whether promotions resume from checkpoints.
     searcher:
-        Optional shared :class:`~repro.searchers.base.Searcher`: every ASHA
-        ladder proposes through it and feeds it every result, so the model
+        Optional shared :class:`~repro.searchers.base.Searcher`: every
+        bracket proposes through it and feeds it every result, so the model
         pools observations across early-stopping rates.
     """
 
@@ -78,90 +77,41 @@ class _ASHALadders(Scheduler):
         from_checkpoint: bool = True,
         searcher: Searcher | None = None,
     ):
-        super().__init__(space, rng, searcher=searcher)
         if max_resource is None:
             raise ValueError(f"{type(self).__name__} requires a finite max_resource")
+        super().__init__(
+            space,
+            rng,
+            min_resource=min_resource,
+            max_resource=max_resource,
+            eta=eta,
+            from_checkpoint=from_checkpoint,
+            searcher=searcher,
+        )
         sizes = hyperband_bracket_sizes(min_resource, max_resource, eta)
         if brackets is not None:
             if not 1 <= brackets <= len(sizes):
                 raise ValueError(f"brackets must be in [1, {len(sizes)}], got {brackets}")
             sizes = sizes[:brackets]
-        self.eta = eta
-        self._ashas: list[ASHA] = []
+        self.brackets += [Bracket(min_resource, max_resource, eta, s) for s in range(1, len(sizes))]
         #: Total resource a synchronous SHA bracket of ``n_s`` would consume.
-        self._budgets: list[float] = []
-        for s, n_s in enumerate(sizes):
-            asha = ASHA(
-                space,
-                rng,
-                min_resource=min_resource,
-                max_resource=max_resource,
-                eta=eta,
-                early_stopping_rate=s,
-                from_checkpoint=from_checkpoint,
-                searcher=searcher,
-            )
-            # Share the trial table / id allocators for globally unique ids.
-            asha.trials = self.trials
-            asha._trial_ids = self._trial_ids
-            asha._job_ids = self._job_ids
-            self._ashas.append(asha)
-            self._budgets.append(Bracket(min_resource, max_resource, eta, s).total_budget(n_s))
-        #: Resource dispatched into each ladder; what the routing rules steer by.
-        self._spent = [0.0] * len(self._ashas)
-        self._bracket_of_trial: dict[int, int] = {}
-
-    # ----------------------------------------------------------------- API
-
-    def attach_telemetry(self, hub) -> Scheduler:
-        """Propagate the hub to every inner ASHA ladder (shared trial table)."""
-        super().attach_telemetry(hub)
-        for asha in self._ashas:
-            asha.telemetry = hub
-        return self
-
-    def _ask(self, index: int) -> Job | None:
-        """Ladder ``index``'s next job, charged to it and tagged with its owner."""
-        job = self._ashas[index].next_job()
-        if job is None:  # trial-capped or searcher-exhausted ladder
-            return None
-        owner = self._bracket_of_trial.setdefault(job.trial_id, index)
-        self._spent[index] += job.delta_resource
-        return dataclasses.replace(job, bracket=owner)
-
-    def report(self, job: Job, loss: float) -> None:
-        self._ashas[self._bracket_of_trial[job.trial_id]].report(job, loss)
-
-    def on_job_failed(self, job: Job) -> None:
-        self._ashas[self._bracket_of_trial[job.trial_id]].on_job_failed(job)
-
-    def on_trial_abandoned(self, job: Job) -> None:
-        self._ashas[self._bracket_of_trial[job.trial_id]].on_trial_abandoned(job)
-
-    # ------------------------------------------------------------ insight
-
-    def rung_sizes(self) -> list[list[int]]:
-        """Rung occupancy per bracket (diagnostics)."""
-        return [a.rung_sizes() for a in self._ashas]
-
-
-class AsyncHyperband(_ASHALadders):
-    """Loop through ASHA brackets ``s = 0, ..., s_max`` by budget depletion.
-
-    Switching happens mid-flight: the bracket receiving budget changes as
-    soon as its SHA-equivalent budget has been dispatched, while earlier
-    brackets' jobs are still running.
-    """
-
-    #: Index of the ladder being fed; its ``_spent`` entry counts from the
-    #: last switch and is zeroed on the way out.
-    _current = 0
+        self._budgets = [b.total_budget(n_s) for b, n_s in zip(self.brackets, sizes)]
+        #: Resource dispatched into each bracket, what the choosers steer by;
+        #: the loop zeroes its current bracket's entry when it moves on.
+        self._spent = [0.0] * len(sizes)
+        #: Index of the bracket the loop is feeding.
+        self._current = 0
 
     def next_job(self) -> Job | None:
-        job = self._ask(self._current)
-        if job is not None and self._spent[self._current] >= self._budgets[self._current]:
-            self._spent[self._current] = 0.0
-            self._current = (self._current + 1) % len(self._ashas)
+        current, n = self._current, len(self.brackets)
+        job = self._get_job(current)
+        if job is None:  # out of proposals: the others' promotions, charged to none
+            others = ((current + step) % n for step in range(1, n))
+            return next(filter(None, map(self._get_job, others)), None)
+        self._spent[current] += job.delta_resource
+        if self._spent[current] >= self._budgets[current]:
+            self._spent[current] = 0.0
+            self._current = (current + 1) % n
         return job
 
     @property
@@ -169,9 +119,37 @@ class AsyncHyperband(_ASHALadders):
         """Early-stopping rate of the bracket currently receiving budget."""
         return self._current
 
+    # ------------------------------------------------------------ snapshots
 
-class ParallelAsyncHyperband(_ASHALadders):
-    """Run all ASHA brackets concurrently with budget-proportional routing."""
+    def _state_extra(self) -> dict:
+        return {
+            "brackets": [bracket.state() for bracket in self.brackets],
+            "spent": list(self._spent),
+            "current": self._current,
+        }
+
+    def _load_extra(self, extra: dict) -> None:
+        states = extra["brackets"]
+        if len(states) != len(self.brackets):
+            raise ValueError(f"snapshot has {len(states)} brackets, not {len(self.brackets)}")
+        for bracket, state in zip(self.brackets, states):
+            bracket.load(state)
+        self._spent = [float(spent) for spent in extra["spent"]]
+        self._current = extra["current"]
+
+    # ------------------------------------------------------------ insight
+
+    def rung_sizes(self) -> list[list[int]]:
+        """Rung occupancy per bracket (diagnostics)."""
+        return [[len(rung) for rung in bracket.rungs] for bracket in self.brackets]
+
+
+class ParallelAsyncHyperband(AsyncHyperband):
+    """Run all ASHA brackets concurrently with budget-proportional routing.
+
+    Only the chooser differs from :class:`AsyncHyperband` (whose
+    ``current_bracket`` stays 0 here).
+    """
 
     @cached_property
     def _shares(self) -> list[float]:
@@ -183,9 +161,10 @@ class ParallelAsyncHyperband(_ASHALadders):
         # Route to the bracket furthest behind its budget share.
         dispatched = sum(self._spent) + 1e-12
         deficits = [spent - share * dispatched for spent, share in zip(self._spent, self._shares)]
-        for index in np.argsort(deficits):
-            job = self._ask(int(index))
+        for index in np.argsort(deficits).tolist():
+            job = self._get_job(index)
             if job is not None:
+                self._spent[index] += job.delta_resource
                 return job
         return None
 

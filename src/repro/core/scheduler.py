@@ -73,8 +73,8 @@ class Scheduler(ABC):
     def attach_telemetry(self, hub) -> "Scheduler":
         """Attach a :class:`~repro.telemetry.TelemetryHub` and return ``self``.
 
-        Composite schedulers (AsyncHyperband's inner ASHA ladders) override
-        this to propagate the hub to their parts.
+        Wrappers (``ContractChecker``, ``StoppingWrapper``) override this to
+        pass the hub on to the scheduler they wrap.
         """
         self.telemetry = hub
         return self
@@ -185,8 +185,8 @@ class Scheduler(ABC):
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore :meth:`state_dict` output into this (fresh) scheduler.
 
-        The trial table is mutated in place rather than rebound — composite
-        schedulers (AsyncHyperband) alias it across inner ladders.
+        The trial table is mutated in place rather than rebound — the
+        wrappers ``ContractChecker`` and ``StoppingWrapper`` alias it.
         """
         expected = state["type"]
         if expected != type(self).__name__:

@@ -26,6 +26,11 @@ One class runs every synchronous baseline; they differ only in their bracket
 A growing plan keeps every bracket it started; a sequential one starts the
 next bracket only once the current one is done, and keeps only that one.
 
+A scheduler here is a plan, a gate and a chooser.  SHA's gate, the rung
+barrier of :class:`_BracketRun`, promotes inside ``report`` when a rung
+closes (``rung_completed`` + ``promotion`` events); ASHA's promotes inside
+``next_job``, so the two are separate code, not one gate asking its caller.
+
 Configurations are sampled lazily, one at a time, as base-rung jobs are
 dispatched.  This is observationally identical to sampling ``n`` up front
 (line 4 of Algorithm 1) for random sampling, and it is what lets BOHB be

@@ -86,9 +86,8 @@ class Searcher(ABC):
     def setup(self, space: SearchSpace) -> "Searcher":
         """Bind the search space; idempotent for the same space object.
 
-        Composite schedulers (Hyperband's inner SHA brackets, the async
-        variants' ASHA ladders) share one searcher across sub-schedulers, so
-        ``setup`` is called once per sub-scheduler with the same space.
+        Every bracket of a scheduler proposes through its one searcher, and
+        a searcher may be set up again with the space it already holds.
         Rebinding to a *different* space would silently mix observation
         scales, so it is an error.
         """

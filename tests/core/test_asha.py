@@ -100,7 +100,7 @@ class TestReport:
         asha.report(jobs[1], 0.8)
         asha.on_job_failed(jobs[2])
         assert asha.trials[jobs[2].trial_id].status == TrialStatus.FAILED
-        assert len(asha.bracket.rung(0)) == 2
+        assert len(asha.brackets[0].rung(0)) == 2
         # Quota 2//3 = 0: ASHA simply grows the base rung.
         assert asha.next_job().rung == 0
 
@@ -154,7 +154,7 @@ class TestIsDone:
         # ladder once; every subsequent is_done/next_job pair is cache hits.
         assert asha.is_done()
         first_poll = calls["n"]
-        assert first_poll <= len(asha.bracket.rungs)
+        assert first_poll <= len(asha.brackets[0].rungs)
         for _ in range(10):
             assert asha.is_done()
             assert asha.next_job() is None
@@ -189,7 +189,7 @@ def test_rung_ratio_invariant(seed, workers):
     asha = ASHA(objective.space, rng, min_resource=1.0, max_resource=27.0, eta=3)
     cluster = SimulatedCluster(workers, seed=seed)
     cluster.run(asha, objective, time_limit=300.0)
-    rungs = asha.bracket.rungs
+    rungs = asha.brackets[0].rungs
     for below, above in zip(rungs, rungs[1:]):
         slack = int(3 * np.sqrt(len(below))) + workers + 1
         assert len(above) <= len(below) // 3 + slack

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backend import SimulatedCluster
-from repro.core import AsyncHyperband
-from repro.experiments.toys import toy_objective
+from repro.core import AsyncHyperband, ParallelAsyncHyperband
+from repro.experiments.toys import toy_objective, toy_space
+from repro.searchers.grid import GridSearcher
 
 
 def make_ahb(space, rng, **kwargs):
@@ -77,3 +79,23 @@ class TestDrops:
         )
         assert result.failures  # drops actually happened
         assert len(result.measurements) > 50  # and the search kept going
+
+
+@pytest.mark.parametrize("cls", [AsyncHyperband, ParallelAsyncHyperband])
+def test_exhausted_searcher_drains_every_bracket(cls):
+    """When the searcher runs out, the other brackets' promotions still run.
+
+    The loop used to ask only its current bracket, so the search ended with
+    bracket 1 still holding a promotable trial; now it asks the others in
+    loop order, and the search ends only once no bracket has work left."""
+    scheduler = cls(
+        toy_space(),
+        np.random.default_rng(1),
+        min_resource=1,
+        max_resource=9,
+        eta=3,
+        searcher=GridSearcher(points_per_dim=40),
+    )
+    SimulatedCluster(4, seed=0).run(scheduler, toy_objective(), time_limit=10_000)
+    assert scheduler.is_done()
+    assert all(bracket.find_promotion() is None for bracket in scheduler.brackets)

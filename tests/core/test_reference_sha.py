@@ -142,11 +142,7 @@ def tables(scheduler) -> list:
         reference.rung_table(
             [rung.losses for rung in bracket.rungs], [rung.promoted for rung in bracket.rungs]
         )
-        for bracket in (
-            [ladder.bracket for ladder in scheduler._ashas]
-            if hasattr(scheduler, "_ashas")
-            else [scheduler.bracket]
-        )
+        for bracket in scheduler.brackets
     ]
 
 
@@ -169,11 +165,8 @@ def drive(scenario: Scenario, deviations: reference.Deviations = reference.Devia
             if job is None:
                 break
             outstanding.append(job)
-        if scenario.row not in HYPERBANDS:  # the ladders never finish
-            assert real.is_done() == oracle.is_done()
+        assert real.is_done() == oracle.is_done()
         if kind == "snapshot":
-            if scenario.row in HYPERBANDS:  # the ladders do not snapshot
-                continue
             real = reload(real, scenario)
             continue
         if not outstanding:
@@ -195,6 +188,4 @@ def drive(scenario: Scenario, deviations: reference.Deviations = reference.Devia
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_scheduler_follows_algorithm_2(row, data):
-    # The loop does not look past its current ladder.
-    deviations = reference.Deviations(exhausted_ladder_defers=False)
-    drive(data.draw(scenarios(row)), deviations)
+    drive(data.draw(scenarios(row)))

@@ -80,7 +80,7 @@ def test_asha_promotes_only_from_top_fractions(seed, eta, picks):
         job = asha.next_job()
         if job is not None:
             if job.rung > 0:
-                assert_within_top_fraction(asha.bracket.rung(job.rung - 1), job.trial_id, eta)
+                assert_within_top_fraction(asha.brackets[0].rung(job.rung - 1), job.trial_id, eta)
             in_flight.append(job)
         if in_flight and pick % 3:
             done = in_flight.pop(pick % len(in_flight))

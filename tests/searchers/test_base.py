@@ -27,7 +27,7 @@ def test_suggest_before_setup_rejected(rng):
 def test_setup_idempotent_for_same_space(one_d_space):
     searcher = RandomSearcher()
     searcher.setup(one_d_space)
-    searcher.setup(one_d_space)  # composite schedulers share one searcher
+    searcher.setup(one_d_space)  # the space it already holds: a no-op
     assert searcher.space is one_d_space
 
 

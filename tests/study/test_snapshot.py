@@ -26,13 +26,13 @@ CASES = {
     "asha": ("asha", {"max_trials": 14}, None),
     "sha": ("sha", {"n": 9}, None),
     "hyperband": ("hyperband", {"max_loops": 1}, None),
+    "async_hyperband": ("async_hyperband", {}, None),
     "bohb": ("bohb", {"n": 9}, None),
     "asha_kde": ("asha", {"max_trials": 14}, "kde"),
 }
 #: The rows that refuse loudly, and the class the refusal names (``gp`` is
 #: stopped by its searcher before its promotion rule is asked).
 UNSUPPORTED = {
-    "async_hyperband": "AsyncHyperband",
     "random": "RandomSearch",
     "pbt": "PBT",
     "gp": "GPEISearcher",

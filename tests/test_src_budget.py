@@ -16,9 +16,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: ``src_lines`` once worker time became each attempt's own
-#: ``min(until - start, planned)`` instead of a dispatch credit rolled back.
-CEILING = 15_138
+#: ``src_lines`` once the asynchronous Hyperbands became ASHA over a list of
+#: brackets instead of a scheduler holding one ASHA per bracket.
+CEILING = 15_134
 
 
 def src_lines() -> int:
