@@ -147,8 +147,8 @@ class AsyncHyperband(ASHA):
 class ParallelAsyncHyperband(AsyncHyperband):
     """Run all ASHA brackets concurrently with budget-proportional routing.
 
-    Only the chooser differs from :class:`AsyncHyperband` (whose
-    ``current_bracket`` stays 0 here).
+    Only the chooser differs from :class:`AsyncHyperband`; the loop
+    position ``current_bracket`` stays 0.
     """
 
     @cached_property

@@ -95,10 +95,9 @@ class Scenario:
             return cls(space, rng, brackets=self.brackets, **common)
         return ASHA(space, rng, early_stopping_rate=self.s, max_trials=self.max_trials, **common)
 
-    def reference(self, deviations: reference.Deviations) -> reference.ReferenceASHA:
-        common = dict(
-            proposals=self.proposals, from_checkpoint=self.from_checkpoint, deviations=deviations
-        )
+    def reference(self) -> reference.ReferenceASHA:
+        """Algorithm 2 with the system's deviations, for this scenario."""
+        common = dict(proposals=self.proposals, from_checkpoint=self.from_checkpoint)
         if self.row in HYPERBANDS:
             return reference.async_hyperband(
                 self.r, self.big_r, self.eta, self.brackets, HYPERBANDS[self.row], **common
@@ -155,8 +154,8 @@ def reload(scheduler, scenario: Scenario):
     return fresh
 
 
-def drive(scenario: Scenario, deviations: reference.Deviations = reference.Deviations()) -> None:
-    real, oracle = scenario.build(), scenario.reference(deviations)
+def drive(scenario: Scenario) -> None:
+    real, oracle = scenario.build(), scenario.reference()
     outstanding: list = []
     for kind, pick, loss in scenario.events:
         while len(outstanding) < scenario.workers:
